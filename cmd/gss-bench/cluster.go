@@ -229,7 +229,7 @@ func clusterBenchOne(n int, opt clusterBenchOptions, items []stream.Item, routed
 	var memberURLs []string
 	for i := 0; i < n; i++ {
 		srv, err := server.NewWithOptions(cfg, server.Options{
-			Backend: sketch.BackendSingle, BatchSize: opt.Batch, Logf: silent})
+			Backend: sketch.BackendConcurrent, BatchSize: opt.Batch, Logf: silent})
 		if err != nil {
 			return clusterResult{}, err
 		}

@@ -23,7 +23,7 @@ import (
 //   - bulk: POST /ingest with NDJSON, decoded and inserted in batches —
 //     the pipeline path, locks amortized over whole batches.
 //
-// The single/item row is the baseline the sharded/bulk speedup is
+// The concurrent/item row is the baseline the sharded/bulk speedup is
 // quoted against.
 //
 // A second table compares the two bulk ingest planes — NDJSON versus
@@ -90,8 +90,7 @@ func runIngestBench(opt ingestOptions, w io.Writer) error {
 
 	cfg := gss.Config{Width: opt.Width, FingerprintBits: 16, Rooms: 2, SeqLen: 8, Candidates: 8}
 	runs := []struct{ backend, path string }{
-		{"single", "item"},
-		{"single", "bulk"},
+		{"concurrent", "item"},
 		{"concurrent", "bulk"},
 		{"sharded", "bulk"},
 	}
@@ -120,7 +119,7 @@ func runIngestBench(opt ingestOptions, w io.Writer) error {
 	// per-plane best-of would let the two planes sample different host
 	// weather and fabricate a ratio.
 	const rounds = 3
-	planeBackends := []string{"single", "concurrent", "sharded"}
+	planeBackends := []string{"concurrent", "sharded"}
 	type planePair struct{ nd, bin ingestResult }
 	best := make(map[string]planePair)
 	for r := 0; r < rounds; r++ {

@@ -112,7 +112,7 @@ func runMigrateBench(opt migrateBenchOptions, w io.Writer) error {
 		}
 		defer os.RemoveAll(dir)
 		srv, err := server.NewWithOptions(cfg, server.Options{
-			Backend: sketch.BackendSingle, BatchSize: opt.Batch, Logf: silent,
+			Backend: sketch.BackendConcurrent, BatchSize: opt.Batch, Logf: silent,
 			LogDir: dir})
 		if err != nil {
 			return err

@@ -281,22 +281,26 @@ type transferResult struct {
 	perPoll float64 // bytes per poll tick
 }
 
-// measureFollowerTransfer stands up a logging primary and one follower
-// (snapshot-polling or log-tailing), lets the follower bootstrap and
-// converge on a seed batch, then measures the transfer counters across
-// the workload: trickle posts one small request per poll interval,
-// firehose drives the full stream at max speed.
+// measureFollowerTransfer stands up a primary and one follower, lets
+// the follower bootstrap and converge on a seed batch, then measures
+// the transfer counters across the workload: trickle posts one small
+// request per poll interval, firehose drives the full stream at max
+// speed. With tail set the primary keeps an operation log, which the
+// follower tails; without one the follower can only poll snapshots.
 func measureFollowerTransfer(cfg gss.Config, opt replicaBenchOptions, bodies, trickleBodies [][]byte, trickle, tail bool) (transferResult, error) {
 	var res transferResult
 	quiet := func(string, ...interface{}) {}
-	logDir, err := os.MkdirTemp("", "gss-replica-bench-log-")
-	if err != nil {
-		return res, err
+	popt := server.Options{Backend: sketch.BackendSharded, Shards: opt.Shards,
+		BatchSize: opt.Batch, Logf: quiet}
+	if tail {
+		logDir, err := os.MkdirTemp("", "gss-replica-bench-log-")
+		if err != nil {
+			return res, err
+		}
+		defer os.RemoveAll(logDir)
+		popt.LogDir = logDir
 	}
-	defer os.RemoveAll(logDir)
-	primary, err := server.NewWithOptions(cfg, server.Options{
-		Backend: sketch.BackendSharded, Shards: opt.Shards, BatchSize: opt.Batch,
-		LogDir: logDir, Logf: quiet})
+	primary, err := server.NewWithOptions(cfg, popt)
 	if err != nil {
 		return res, err
 	}
@@ -312,8 +316,7 @@ func measureFollowerTransfer(cfg gss.Config, opt replicaBenchOptions, bodies, tr
 
 	follower, err := server.NewWithOptions(cfg, server.Options{
 		Backend: sketch.BackendSharded, Shards: opt.Shards,
-		FollowURL: tsP.URL, FollowInterval: opt.FollowEach, FollowTail: tail,
-		Logf: quiet})
+		FollowURL: tsP.URL, FollowInterval: opt.FollowEach, Logf: quiet})
 	if err != nil {
 		return res, err
 	}

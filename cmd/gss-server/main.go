@@ -9,7 +9,7 @@
 // replica following it:
 //
 //	gss-server -addr :8080 -checkpoint-dir /var/lib/gss -log-dir /var/lib/gss/oplog
-//	gss-server -addr :8081 -follow http://primary:8080 -follow-tail
+//	gss-server -addr :8081 -follow http://primary:8080
 package main
 
 import (
@@ -62,11 +62,9 @@ func main() {
 		logSegBytes = flag.Int64("log-segment-bytes", 0,
 			"operation log segment rotation threshold (0 = 8MiB default)")
 		follow = flag.String("follow", "",
-			"run as a read replica of the primary at this base URL (writes answer 403)")
+			"run as a read replica of the primary at this base URL: tail its operation log, or poll snapshots if it keeps none (writes answer 403)")
 		followEvery = flag.Duration("follow-interval", 2*time.Second,
 			"read replica: poll interval")
-		followTail = flag.Bool("follow-tail", false,
-			"read replica: tail the primary's operation log instead of re-fetching snapshots")
 
 		debugAddr = flag.String("debug-addr", "",
 			"serve net/http/pprof on this separate address (empty disables; keep it off the service port)")
@@ -93,7 +91,7 @@ func main() {
 			CheckpointDir: *ckptDir, CheckpointInterval: *ckptEvery,
 			CheckpointKeep: *ckptKeep,
 			LogDir:         *logDir, LogSyncEvery: *logSync, LogSegmentBytes: *logSegBytes,
-			FollowURL: *follow, FollowInterval: *followEvery, FollowTail: *followTail,
+			FollowURL: *follow, FollowInterval: *followEvery,
 			Logf: telemetry.Logf(logger), SlowQuery: slow})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gss-server:", err)
@@ -103,9 +101,6 @@ func main() {
 	role := "primary"
 	if *follow != "" {
 		role = "follower of " + *follow
-		if *followTail {
-			role += " (log-tailing)"
-		}
 	}
 	if *ckptDir != "" {
 		role += ", checkpointing to " + *ckptDir

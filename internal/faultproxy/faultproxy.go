@@ -508,8 +508,12 @@ func (p *Proxy) handle(w http.ResponseWriter, r *http.Request) {
 
 // forward relays the request to the target and streams the response
 // back, applying body-level faults.
+//
+// The upstream request is not cancelled when the client hangs up: once
+// forwarded, the backend may already be applying it, so the request
+// stays in flight (Inflight, WaitIdle) until the backend has answered.
 func (p *Proxy) forward(w http.ResponseWriter, r *http.Request, e effect) {
-	out, err := http.NewRequestWithContext(r.Context(), r.Method,
+	out, err := http.NewRequestWithContext(context.WithoutCancel(r.Context()), r.Method,
 		p.target.String()+r.URL.RequestURI(), r.Body)
 	if err != nil {
 		p.upstreamErr.Inc()

@@ -56,7 +56,7 @@ func (c *Concurrent) InsertBatch(items []stream.Item) {
 }
 
 // InsertHashedBatch ingests a pre-hashed batch under one lock
-// acquisition; the batch may be reordered in place.
+// acquisition.
 func (c *Concurrent) InsertHashedBatch(items []stream.HashedItem) {
 	c.mu.Lock()
 	c.g.InsertHashedBatch(items)

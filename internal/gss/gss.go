@@ -2,7 +2,6 @@ package gss
 
 import (
 	"math/bits"
-	"sort"
 
 	"repro/internal/hashing"
 	"repro/internal/stream"
@@ -49,12 +48,11 @@ type GSS struct {
 	// to the *With query variants instead.
 	sc queryScratch
 
-	// Batch-insert scratch: the hashed copy InsertBatch builds (so the
-	// string path hashes each identifier exactly once) and the region
-	// keys the batch sort orders by. Guarded by whatever serializes
-	// inserts (the wrappers' locks; the plain GSS is single-threaded).
+	// Batch-insert scratch: the hashed copy InsertBatch builds, so the
+	// string path hashes each identifier exactly once. Guarded by
+	// whatever serializes inserts (the wrappers' locks; the plain GSS
+	// is single-threaded).
 	hbatch []stream.HashedItem
-	hkeys  []uint64
 }
 
 // queryScratch holds the per-call buffers a probe sequence needs: the
@@ -175,43 +173,24 @@ func (g *GSS) Insert(it stream.Item) {
 
 // InsertBatch ingests a slice of stream items. Each identifier is
 // hashed exactly once, into a scratch copy of the batch, and the copy
-// runs through the same hashed-batch core the binary ingest plane uses
-// — the carried-hash math is one code path for both planes. The string
-// plane inserts in arrival order, never region-packed: it is the
-// reference plane, and its sketch state must stay a pure function of
-// the item sequence regardless of how callers batch it (log replay
-// after a crash re-batches at different boundaries and must reproduce
-// the pre-crash sketch exactly).
+// runs through InsertHashedBatch — the carried-hash math is one code
+// path for both ingest planes.
 func (g *GSS) InsertBatch(items []stream.Item) {
 	if len(items) == 0 {
 		return
 	}
 	g.hbatch = stream.HashItems(items, g.hbatch[:0])
-	g.insertHashedBatch(g.hbatch, false)
+	g.InsertHashedBatch(g.hbatch)
 }
 
-// InsertHashedBatch ingests a pre-hashed batch: the carried hashes are
-// reduced into this sketch's node space with one modulo each, and the
-// identifier strings are only stored in the node registry — nothing on
-// this path re-hashes Src or Dst. The batch is region-packed and may
-// be reordered in place (see insertHashedBatch); room placement can
-// therefore differ from what arrival-order inserts of the same items
-// would produce — a different, equally valid summary of the same
-// stream, identical wherever the sketch answers exactly.
+// InsertHashedBatch ingests a pre-hashed batch in arrival order: the
+// carried hashes are reduced into this sketch's node space with one
+// modulo each, and the identifier strings are only stored in the node
+// registry — nothing on this path re-hashes Src or Dst. Rooms are taken
+// in stream order (§V), so the sketch is a pure function of the item
+// sequence: both ingest planes, any batch boundaries and log replay
+// after a crash all produce byte-identical state.
 func (g *GSS) InsertHashedBatch(items []stream.HashedItem) {
-	g.insertHashedBatch(items, true)
-}
-
-// insertHashedBatch is the one batch-insert core. The registry sees
-// the items in arrival order (listing order under hash collisions is
-// observable); with pack set, the batch is then sorted by matrix
-// region so room probes walk the bucket matrix mostly sequentially —
-// the packing discipline the PR 4 query engine applied to reads,
-// applied to writes. Reordering is sound: edge weights are commutative
-// sums, and every candidate bucket of an edge stays a pure function of
-// its hashes, so queries find the edge wherever the probe order parked
-// it.
-func (g *GSS) insertHashedBatch(items []stream.HashedItem, pack bool) {
 	M := g.nh.M()
 	if g.reg != nil {
 		for i := range items {
@@ -219,48 +198,9 @@ func (g *GSS) insertHashedBatch(items []stream.HashedItem, pack bool) {
 			g.reg.add(items[i].HDst%M, items[i].Dst)
 		}
 	}
-	if pack {
-		g.sortByRegion(items)
-	}
 	for i := range items {
 		g.insertHashed(items[i].HSrc%M, items[i].HDst%M, items[i].Weight)
 	}
-}
-
-// sortByRegion orders a batch by (source address, destination address,
-// sampling seed): inserts touching the same bucket region become
-// adjacent — repeat edges hit a warm slot, distinct edges in one
-// region share cache lines — and the key is a pure function of the
-// hashes, so both ingest planes order identically.
-func (g *GSS) sortByRegion(items []stream.HashedItem) {
-	if len(items) < 2 {
-		return
-	}
-	M, F := g.nh.M(), g.nh.FSize
-	keys := g.hkeys[:0]
-	for i := range items {
-		hvS, hvD := items[i].HSrc%M, items[i].HDst%M
-		addrS, fpS := uint64(hvS/F), uint32(hvS%F)
-		addrD, fpD := uint64(hvD/F), uint32(hvD%F)
-		// addr < width <= 2^20, and the seed f(s)+f(d) < 2^17, so the
-		// key packs into one word: addrS | addrD | seed.
-		keys = append(keys, addrS<<44|addrD<<24|uint64(fpS+fpD))
-	}
-	g.hkeys = keys
-	sort.Sort(&regionSort{keys: keys, items: items})
-}
-
-// regionSort co-sorts the key and item slices of one batch.
-type regionSort struct {
-	keys  []uint64
-	items []stream.HashedItem
-}
-
-func (s *regionSort) Len() int           { return len(s.keys) }
-func (s *regionSort) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
-func (s *regionSort) Swap(i, j int) {
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
-	s.items[i], s.items[j] = s.items[j], s.items[i]
 }
 
 // InsertEdge adds w to edge (src,dst) of the streaming graph. It is

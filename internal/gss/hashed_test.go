@@ -39,8 +39,7 @@ type hashedQuerier interface {
 // diffPlanes compares every observable of two sketches that ingested
 // the same stream on different planes. The config must be oversized
 // for the stream (no fingerprint collisions, no room overflow), so
-// both planes answer exactly and must agree even though region packing
-// may have parked edges in different candidate buckets.
+// both planes answer exactly and must agree.
 func diffPlanes(t *testing.T, items []stream.Item, ref, hashed hashedQuerier) {
 	t.Helper()
 	if a, b := ref.Stats().Items, hashed.Stats().Items; a != b {
@@ -204,10 +203,10 @@ func TestConcurrentInsertHashedBatch(t *testing.T) {
 }
 
 // TestRegionPackKeepsRegistryOrder: the registry records identifiers
-// in arrival order even though hashed-batch matrix inserts are
-// region-sorted, so collision listings stay deterministic across both
-// planes. DisableNodeIndex-free tight config forces hash collisions so
-// per-hash listing order is actually observable.
+// in arrival order on the hashed plane too, so collision listings stay
+// deterministic across both planes. DisableNodeIndex-free tight config
+// forces hash collisions so per-hash listing order is actually
+// observable.
 func TestRegionPackKeepsRegistryOrder(t *testing.T) {
 	cfg := Config{Width: 16, FingerprintBits: 4, Rooms: 2, SeqLen: 4, Candidates: 4}
 	items := randomStream(500, 3)

@@ -97,63 +97,27 @@ func (s *Sharded) shardIndexHashed(h64s, h64d uint64) int {
 	return int(h % uint64(len(s.shards)))
 }
 
-func (s *Sharded) shardFor(src, dst string) *shard {
-	return &s.shards[s.shardIndex(src, dst)]
-}
-
 // Insert ingests one item; safe for concurrent use. The full item is
 // routed to the owning shard — Time and Label must survive this layer
 // for wrappers that depend on them.
 func (s *Sharded) Insert(it stream.Item) {
-	s.gate.RLock()
-	defer s.gate.RUnlock()
-	sh := s.shardFor(it.Src, it.Dst)
-	sh.mu.Lock()
-	sh.g.Insert(it)
-	sh.mu.Unlock()
+	s.InsertHashedBatch([]stream.HashedItem{stream.HashItem(it)})
 }
 
-// InsertBatch ingests a batch of items; safe for concurrent use. The
-// batch is grouped by owning shard first, then each touched shard is
-// locked exactly once for its whole group — under N ingester
-// goroutines the per-item lock traffic of Insert becomes one
-// acquisition per shard per batch, and goroutines working disjoint
-// shard groups proceed in parallel.
+// InsertBatch ingests a batch of items; safe for concurrent use. Each
+// identifier is hashed once and the batch takes the hashed path, so
+// both ingest planes share one shard grouping.
 func (s *Sharded) InsertBatch(items []stream.Item) {
-	if len(items) == 0 {
-		return
-	}
-	s.gate.RLock()
-	defer s.gate.RUnlock()
-	if len(s.shards) == 1 {
-		sh := &s.shards[0]
-		sh.mu.Lock()
-		sh.g.InsertBatch(items)
-		sh.mu.Unlock()
-		return
-	}
-	groups := make([][]stream.Item, len(s.shards))
-	for _, it := range items {
-		i := s.shardIndex(it.Src, it.Dst)
-		groups[i] = append(groups[i], it)
-	}
-	for i, grp := range groups {
-		if len(grp) == 0 {
-			continue
-		}
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		sh.g.InsertBatch(grp)
-		sh.mu.Unlock()
-	}
+	s.InsertHashedBatch(stream.HashItems(items, nil))
 }
 
 // InsertHashedBatch ingests a pre-hashed batch; safe for concurrent
-// use. Partitioning uses the carried hashes (shardIndexHashed), then
-// each shard group takes that shard's lock once — the same grouping
-// InsertBatch computes from strings, so the two planes place every
-// edge identically. Groups may be reordered in place by the per-shard
-// region sort.
+// use. The batch is grouped by owning shard first (shardIndexHashed
+// over the carried hashes), then each touched shard is locked exactly
+// once for its whole group — under N ingester goroutines the per-item
+// lock traffic becomes one acquisition per shard per batch, and
+// goroutines working disjoint shard groups proceed in parallel. Groups
+// keep arrival order.
 func (s *Sharded) InsertHashedBatch(items []stream.HashedItem) {
 	if len(items) == 0 {
 		return
@@ -193,7 +157,7 @@ func (s *Sharded) InsertEdge(src, dst string, w int64) {
 func (s *Sharded) EdgeWeight(src, dst string) (int64, bool) {
 	s.gate.RLock()
 	defer s.gate.RUnlock()
-	sh := s.shardFor(src, dst)
+	sh := &s.shards[s.shardIndex(src, dst)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	return sh.g.EdgeWeight(src, dst)
@@ -240,10 +204,11 @@ func (s *Sharded) unionAll(get func(*GSS) []string) []string {
 // The hash-native query plane. Every shard runs the same scaled
 // configuration, so the node-hash space is shared: a hash value means
 // the same node in every shard, and per-shard results concatenate
-// without translation. An original edge lives in exactly one shard, so
-// successor/precursor unions are duplicate-free by construction; only
-// the node registry, which records an endpoint in every shard that
-// stores one of its edges, needs deduplication.
+// without translation. Shards route by the full 64-bit identifier
+// hashes, so distinct edges whose endpoints collide onto the same node
+// hashes can land in different shards: the edge weight sums over every
+// shard (GSS never under-reports) and set unions deduplicate, as the
+// windowed backend's generation unions do.
 
 // NodeHash maps an identifier into the shared compressed node space.
 func (s *Sharded) NodeHash(v string) uint64 {
@@ -252,23 +217,25 @@ func (s *Sharded) NodeHash(v string) uint64 {
 	return s.shards[0].g.NodeHash(v)
 }
 
-// EdgeWeightHash probes each shard for the sketch edge (hs, hd). The
+// EdgeWeightHash sums the sketch edge (hs, hd) over every shard. The
 // string form routes by original identifiers, which hashes cannot
-// recover, so the hash form asks every shard; the owning shard answers
-// and a miss everywhere falls through to not-found.
+// recover, so the hash form asks every shard.
 func (s *Sharded) EdgeWeightHash(hs, hd uint64) (int64, bool) {
 	s.gate.RLock()
 	defer s.gate.RUnlock()
+	var sum int64
+	found := false
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		w, ok := sh.g.EdgeWeightHash(hs, hd)
 		sh.mu.Unlock()
 		if ok {
-			return w, true
+			sum += w
+			found = true
 		}
 	}
-	return 0, false
+	return sum, found
 }
 
 // AppendSuccessorHashes appends the union of the shard-local successor
@@ -276,13 +243,14 @@ func (s *Sharded) EdgeWeightHash(hs, hd uint64) (int64, bool) {
 func (s *Sharded) AppendSuccessorHashes(hv uint64, dst []uint64) []uint64 {
 	s.gate.RLock()
 	defer s.gate.RUnlock()
+	mark := len(dst)
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		dst = sh.g.AppendSuccessorHashes(hv, dst)
 		sh.mu.Unlock()
 	}
-	return dst
+	return DedupHashTail(dst, mark)
 }
 
 // AppendPrecursorHashes appends the union of the shard-local precursor
@@ -290,13 +258,14 @@ func (s *Sharded) AppendSuccessorHashes(hv uint64, dst []uint64) []uint64 {
 func (s *Sharded) AppendPrecursorHashes(hv uint64, dst []uint64) []uint64 {
 	s.gate.RLock()
 	defer s.gate.RUnlock()
+	mark := len(dst)
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		dst = sh.g.AppendPrecursorHashes(hv, dst)
 		sh.mu.Unlock()
 	}
-	return dst
+	return DedupHashTail(dst, mark)
 }
 
 // AppendNodeHashes appends the union of the shard registries' hash
@@ -353,8 +322,8 @@ func (s *Sharded) SupportsHashQueries() bool {
 }
 
 // DedupHashTail sorts dst[mark:] and removes duplicates in place — the
-// union step every multi-partition hash query shares (shard registries
-// here, window generations in internal/window).
+// union step every multi-partition hash query shares (shards here,
+// window generations in internal/window).
 func DedupHashTail(dst []uint64, mark int) []uint64 {
 	tail := dst[mark:]
 	if len(tail) < 2 {

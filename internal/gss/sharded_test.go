@@ -2,6 +2,9 @@ package gss
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -286,5 +289,53 @@ func TestShardedHeavyEdges(t *testing.T) {
 	}
 	if heavy[0].Weight != 900 || heavy[1].Weight != 500 {
 		t.Fatalf("heavy order = %d,%d want 900,500", heavy[0].Weight, heavy[1].Weight)
+	}
+}
+
+// TestShardedHashPlaneUnderCollisions: shards route by full identifier
+// hashes, so under node-hash collisions distinct edges sharing one
+// sketch edge (hs, hd) land in different shards. The hash plane must
+// still answer like one unsharded GSS of the shard config (which holds
+// the sketch graph exactly): weights summed over every shard, never
+// under-reported, and set unions free of duplicates.
+func TestShardedHashPlaneUnderCollisions(t *testing.T) {
+	cfg := Config{Width: 16, FingerprintBits: 2}
+	const n = 8
+	s, err := NewSharded(cfg, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := MustNew(Config{Width: ScaleWidth(cfg.Width, n), FingerprintBits: cfg.FingerprintBits})
+	rng := rand.New(rand.NewSource(1))
+	items := make([]stream.Item, 3000)
+	for i := range items {
+		items[i] = stream.Item{Src: fmt.Sprintf("n%d", rng.Intn(400)),
+			Dst: fmt.Sprintf("n%d", rng.Intn(400)), Weight: 1 + rng.Int63n(9)}
+	}
+	s.InsertBatch(items)
+	ref.InsertBatch(items)
+
+	for _, it := range items {
+		hs, hd := s.NodeHash(it.Src), s.NodeHash(it.Dst)
+		got, ok := s.EdgeWeightHash(hs, hd)
+		want, _ := ref.EdgeWeightHash(hs, hd)
+		if !ok || got != want {
+			t.Fatalf("EdgeWeightHash(%s,%s) = %d,%v, unsharded %d", it.Src, it.Dst, got, ok, want)
+		}
+	}
+	for _, hv := range ref.AppendNodeHashes(nil) {
+		for _, dir := range []struct {
+			name      string
+			got, want []uint64
+		}{
+			{"successors", s.AppendSuccessorHashes(hv, nil), ref.AppendSuccessorHashes(hv, nil)},
+			{"precursors", s.AppendPrecursorHashes(hv, nil), ref.AppendPrecursorHashes(hv, nil)},
+		} {
+			slices.Sort(dir.got)
+			slices.Sort(dir.want)
+			if !slices.Equal(dir.got, slices.Compact(dir.want)) {
+				t.Fatalf("%s of hash %d = %v, unsharded %v", dir.name, hv, dir.got, dir.want)
+			}
+		}
 	}
 }

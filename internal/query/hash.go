@@ -84,8 +84,18 @@ var traversalPool = sync.Pool{New: func() interface{} {
 
 func getTraversal() *traversal { return traversalPool.Get().(*traversal) }
 
+// maxPooledIDs bounds the id map a pooled traversal keeps. Clearing a
+// map costs time in proportion to the largest size it ever reached, so
+// one hub-sized search would tax every later small search that drew
+// the same scratch; a map past this size is dropped instead.
+const maxPooledIDs = 1 << 12
+
 func putTraversal(t *traversal) {
-	clear(t.ids)
+	if len(t.ids) > maxPooledIDs {
+		t.ids = make(map[uint64]int32)
+	} else {
+		clear(t.ids)
+	}
 	t.hashes = t.hashes[:0]
 	t.queue = t.queue[:0]
 	t.nbr = t.nbr[:0]

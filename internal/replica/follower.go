@@ -18,8 +18,8 @@ import (
 
 // FollowerConfig configures a Follower.
 type FollowerConfig struct {
-	// URL is the primary's base URL; the follower polls URL + "/snapshot"
-	// (and URL + "/log" in tail mode).
+	// URL is the primary's base URL; the follower tails URL + "/log"
+	// and fetches URL + "/snapshot" to bootstrap or resynchronize.
 	URL string
 	// Interval between polls (default 2s). The first poll happens
 	// immediately on Start, so a fresh follower serves current reads
@@ -29,17 +29,7 @@ type FollowerConfig struct {
 	// called from the poll goroutine with the response body; the body
 	// must not be retained after it returns.
 	Apply func(io.Reader) error
-	// TailLog switches the follower to log-tailing: instead of
-	// re-fetching the whole snapshot every interval, it reads
-	// URL+"/log?from=<seq>" and applies only the items that arrived
-	// since its position. The position is bootstrapped from one
-	// snapshot fetch (the primary reports the snapshot's log sequence
-	// in the X-Log-Seq header), and whenever the primary has retired
-	// the follower's offset — or has no log at all — the follower
-	// falls back to a snapshot fetch and resumes tailing from there.
-	TailLog bool
-	// ApplyItems applies one batch of tailed items in log order;
-	// required when TailLog is set.
+	// ApplyItems applies one batch of tailed items in log order.
 	ApplyItems func([]stream.Item) error
 	// TailBatch caps the items requested per /log fetch (default 8192).
 	TailBatch int
@@ -57,7 +47,9 @@ type FollowerConfig struct {
 // FollowerStats counts a Follower's polls; served by the HTTP server's
 // /replica/stats. Staleness is the time since the last successful
 // poll — the upper bound on how far the replica's reads trail the
-// primary (plus one fetch in flight). In tail mode LogSeq is the next
+// primary (plus one fetch in flight). Mode is "tail" while the follower
+// holds a log position and "snapshot" while it has none (before the
+// bootstrap, or following a primary without a log). LogSeq is the next
 // log sequence the follower will read, LagItems how many items the
 // primary reported beyond it at the last poll, and LagBytes that lag
 // scaled by the follower's observed average record size (an estimate).
@@ -82,9 +74,15 @@ type FollowerStats struct {
 	LagBytes          int64  `json:"lag_bytes"`
 }
 
-// Follower keeps a local sketch in sync with a primary, either by
-// polling its snapshot endpoint or by tailing its operation log (see
-// FollowerConfig.TailLog). Start launches the loop; Close stops it.
+// Follower keeps a local sketch in sync with a primary by tailing its
+// operation log: each poll reads URL+"/log?from=<seq>" and applies only
+// the items that arrived since the follower's position. The position
+// is bootstrapped from one snapshot fetch (the primary reports the
+// snapshot's log sequence in the X-Log-Seq header), and whenever the
+// primary has retired the follower's offset — or has no log at all —
+// the follower falls back to a snapshot fetch and resumes tailing from
+// there; a primary that never reports a sequence is followed by
+// snapshot polls alone. Start launches the loop; Close stops it.
 type Follower struct {
 	cfg FollowerConfig
 
@@ -102,7 +100,8 @@ type Follower struct {
 	fallbacks   int64
 	lagItems    int64
 
-	// Tail position; touched only by the poll goroutine.
+	// Tail position; written only by the poll goroutine, under mu so
+	// Stats can read it.
 	pos    uint64
 	hasPos bool
 	// lastHash fingerprints the last applied snapshot body so an
@@ -125,8 +124,8 @@ func NewFollower(cfg FollowerConfig) (*Follower, error) {
 	if cfg.Apply == nil {
 		return nil, fmt.Errorf("replica: FollowerConfig.Apply is required")
 	}
-	if cfg.TailLog && cfg.ApplyItems == nil {
-		return nil, fmt.Errorf("replica: FollowerConfig.ApplyItems is required with TailLog")
+	if cfg.ApplyItems == nil {
+		return nil, fmt.Errorf("replica: FollowerConfig.ApplyItems is required")
 	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = 2 * time.Second
@@ -196,13 +195,7 @@ type pollResult struct {
 }
 
 func (f *Follower) pollOnce() {
-	var res pollResult
-	var err error
-	if f.cfg.TailLog {
-		res, err = f.tailOnce()
-	} else {
-		res, err = f.fetchSnapshot()
-	}
+	res, err := f.tailOnce()
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.polls++
@@ -239,8 +232,8 @@ func (f *Follower) tailOnce() (pollResult, error) {
 		if errors.Is(err, errLogUnavailable) {
 			f.mu.Lock()
 			f.fallbacks++
-			f.mu.Unlock()
 			f.hasPos = false
+			f.mu.Unlock()
 			return f.fetchSnapshot()
 		}
 		if err != nil {
@@ -312,8 +305,9 @@ func (f *Follower) fetchLog() (applied, caughtUp bool, err error) {
 }
 
 // fetchSnapshot fetches the primary's full snapshot, skips the apply
-// when the body is byte-identical to the last applied one, and (in
-// tail mode) adopts the snapshot's log sequence as the tail position.
+// when the body is byte-identical to the last applied one, and adopts
+// the snapshot's log sequence, when the primary reports one, as the
+// tail position.
 func (f *Follower) fetchSnapshot() (pollResult, error) {
 	resp, err := f.cfg.Client.Get(f.cfg.URL + "/snapshot")
 	if err != nil {
@@ -339,8 +333,8 @@ func (f *Follower) fetchSnapshot() (pollResult, error) {
 			f.mu.Lock()
 			f.pos = seq
 			f.lagItems = 0
-			f.mu.Unlock()
 			f.hasPos = true
+			f.mu.Unlock()
 		}
 	}
 	hash := sha256.Sum256(body)
@@ -361,25 +355,25 @@ func (f *Follower) Stats() FollowerStats {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	st := FollowerStats{
-		Polls:            f.polls,
-		Applied:          f.applied,
-		Failed:           f.failed,
-		LastError:        f.lastError,
-		Mode:             "snapshot",
-		SkippedUnchanged: f.skipped,
-		SnapshotBytes:    f.snapBytes,
+		Polls:             f.polls,
+		Applied:           f.applied,
+		Failed:            f.failed,
+		LastError:         f.lastError,
+		Mode:              "snapshot",
+		SkippedUnchanged:  f.skipped,
+		SnapshotBytes:     f.snapBytes,
+		TailPolls:         f.tailPolls,
+		TailedItems:       f.tailItems,
+		TailedBytes:       f.tailBytes,
+		SnapshotFallbacks: f.fallbacks,
+		LogSeq:            f.pos,
+		LagItems:          f.lagItems,
 	}
-	if f.cfg.TailLog {
+	if f.hasPos {
 		st.Mode = "tail"
-		st.TailPolls = f.tailPolls
-		st.TailedItems = f.tailItems
-		st.TailedBytes = f.tailBytes
-		st.SnapshotFallbacks = f.fallbacks
-		st.LogSeq = f.pos
-		st.LagItems = f.lagItems
-		if f.tailItems > 0 {
-			st.LagBytes = f.lagItems * (f.tailBytes / f.tailItems)
-		}
+	}
+	if f.tailItems > 0 {
+		st.LagBytes = f.lagItems * (f.tailBytes / f.tailItems)
 	}
 	if !f.lastApplied.IsZero() {
 		st.LastAppliedUnix = f.lastApplied.Unix()

@@ -13,6 +13,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/stream"
 )
 
 // snapshotBytes returns a Snapshot func that always writes b.
@@ -213,6 +215,7 @@ func TestFollowerPollsAndApplies(t *testing.T) {
 	applied := make(chan []byte, 16)
 	f, err := NewFollower(FollowerConfig{
 		URL: primary.URL, Interval: 10 * time.Millisecond,
+		ApplyItems: noItems,
 		Apply: func(r io.Reader) error {
 			b, err := io.ReadAll(r)
 			if err != nil {
@@ -274,6 +277,7 @@ func TestFollowerCountsFailures(t *testing.T) {
 	applyFail.Store(true)
 	f, err := NewFollower(FollowerConfig{
 		URL: primary.URL, Interval: 5 * time.Millisecond,
+		ApplyItems: noItems,
 		Apply: func(r io.Reader) error {
 			io.Copy(io.Discard, r)
 			if applyFail.Load() {
@@ -308,7 +312,8 @@ func TestFollowerCloseStopsLoop(t *testing.T) {
 	before := runtime.NumGoroutine()
 	f, err := NewFollower(FollowerConfig{
 		URL: "http://127.0.0.1:0", Interval: 5 * time.Millisecond,
-		Apply: func(io.Reader) error { return nil },
+		Apply:      func(io.Reader) error { return nil },
+		ApplyItems: noItems,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -319,6 +324,10 @@ func TestFollowerCloseStopsLoop(t *testing.T) {
 	f.Close() // idempotent
 	waitForGoroutines(t, before)
 }
+
+// noItems is the ApplyItems of followers whose primary serves no log:
+// they only ever apply snapshots.
+func noItems([]stream.Item) error { return nil }
 
 func waitFor(t *testing.T, what string, ok func() bool) {
 	t.Helper()

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/sketch"
 )
 
 // nodesResponse mirrors the /nodes payload.
@@ -16,7 +18,7 @@ type nodesResponse struct {
 }
 
 func TestNodesLimit(t *testing.T) {
-	for _, backend := range []string{"single", "concurrent", "sharded", "windowed"} {
+	for _, backend := range sketch.Backends() {
 		t.Run(backend, func(t *testing.T) {
 			_, ts := newIngestServer(t, Options{Backend: backend})
 			var lines []string

@@ -381,7 +381,7 @@ func TestFollowerTailConvergence(t *testing.T) {
 	ingestAll(t, tsP.URL, items[:600])
 
 	f, err := NewWithOptions(cfg, Options{
-		FollowURL: tsP.URL, FollowTail: true,
+		FollowURL:      tsP.URL,
 		FollowInterval: 20 * time.Millisecond, Logf: quiet(t)})
 	if err != nil {
 		t.Fatal(err)

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/gss"
 	"repro/internal/hashing"
-	"repro/internal/sketch"
 	"repro/internal/stream"
 )
 
@@ -66,11 +65,6 @@ func movingPredicate(r *http.Request) (func(id string) bool, error) {
 	}, nil
 }
 
-// partitionUnsupported maps the backends' capability errors to 501.
-func partitionUnsupported(err error) bool {
-	return errors.Is(err, gss.ErrNoNodeIndex) || errors.Is(err, sketch.ErrNoPartitionSupport)
-}
-
 // handlePartitionExport (GET /partition/export?old=&new=) streams the
 // moving sketch edges as a GSS1 item stream. Like /snapshot, the body
 // is buffered under the apply barrier on a logging primary, so the
@@ -79,11 +73,6 @@ func partitionUnsupported(err error) bool {
 // the gap — no write is in both. X-Partition-Edges and
 // X-Partition-Mixed carry the export report.
 func (s *Server) handlePartitionExport(w http.ResponseWriter, r *http.Request) {
-	pm, ok := sketch.PartitionView(s.sk)
-	if !ok {
-		httpError(w, http.StatusNotImplemented, "backend has no partition surface")
-		return
-	}
 	moving, err := movingPredicate(r)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
@@ -98,17 +87,17 @@ func (s *Server) handlePartitionExport(w http.ResponseWriter, r *http.Request) {
 		s.applyMu.Lock()
 		seq = s.olog.NextSeq()
 		fencedItems = s.sk.Stats().Items
-		rep, err = pm.ExportPartition(moving, sw.WriteItem)
+		rep, err = s.sk.ExportPartition(moving, sw.WriteItem)
 		s.applyMu.Unlock()
 	} else {
 		fencedItems = s.sk.Stats().Items
-		rep, err = pm.ExportPartition(moving, sw.WriteItem)
+		rep, err = s.sk.ExportPartition(moving, sw.WriteItem)
 	}
 	if err == nil {
 		err = sw.Flush()
 	}
 	if err != nil {
-		if partitionUnsupported(err) {
+		if errors.Is(err, gss.ErrNoNodeIndex) {
 			httpError(w, http.StatusNotImplemented, "partition export: %v", err)
 			return
 		}
@@ -144,11 +133,6 @@ func (s *Server) handlePartitionDrop(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	pm, ok := sketch.PartitionView(s.sk)
-	if !ok {
-		httpError(w, http.StatusNotImplemented, "backend has no partition surface")
-		return
-	}
 	moving, err := movingPredicate(r)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
@@ -166,7 +150,7 @@ func (s *Server) handlePartitionDrop(w http.ResponseWriter, r *http.Request) {
 	if s.olog != nil {
 		s.applyMu.Lock()
 		s.restoreMu.Lock()
-		rep, err = pm.DropPartition(moving, items)
+		rep, err = s.sk.DropPartition(moving, items)
 		if err == nil {
 			if rerr := s.olog.Rotate(); rerr != nil {
 				s.opt.Logf("server: rotating oplog after partition drop: %v", rerr)
@@ -182,11 +166,11 @@ func (s *Server) handlePartitionDrop(w http.ResponseWriter, r *http.Request) {
 		}
 	} else {
 		s.restoreMu.Lock()
-		rep, err = pm.DropPartition(moving, items)
+		rep, err = s.sk.DropPartition(moving, items)
 		s.restoreMu.Unlock()
 	}
 	if err != nil {
-		if partitionUnsupported(err) {
+		if errors.Is(err, gss.ErrNoNodeIndex) {
 			httpError(w, http.StatusNotImplemented, "partition drop: %v", err)
 			return
 		}
@@ -214,11 +198,6 @@ func (s *Server) handlePartitionAbsorb(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	pm, ok := sketch.PartitionView(s.sk)
-	if !ok {
-		httpError(w, http.StatusNotImplemented, "backend has no partition surface")
-		return
-	}
 	items, err := strconv.ParseInt(r.URL.Query().Get("items"), 10, 64)
 	if err != nil || items < 0 {
 		httpError(w, http.StatusBadRequest, "items must be a non-negative integer")
@@ -226,7 +205,7 @@ func (s *Server) handlePartitionAbsorb(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.olog != nil {
 		s.applyMu.Lock()
-		err = pm.AbsorbItems(items)
+		err = s.sk.AbsorbItems(items)
 		s.applyMu.Unlock()
 		if err == nil && s.ckpt != nil {
 			if _, cerr := s.ckpt.CheckpointNow(); cerr != nil {
@@ -234,10 +213,10 @@ func (s *Server) handlePartitionAbsorb(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	} else {
-		err = pm.AbsorbItems(items)
+		err = s.sk.AbsorbItems(items)
 	}
 	if err != nil {
-		if partitionUnsupported(err) {
+		if errors.Is(err, gss.ErrNoNodeIndex) {
 			httpError(w, http.StatusNotImplemented, "partition absorb: %v", err)
 			return
 		}

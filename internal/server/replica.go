@@ -33,11 +33,14 @@ import (
 // sequence are retired after each checkpoint, so disk use tracks the
 // checkpoint window, not total history.
 //
-// A server given Options.FollowURL is a read replica: it polls the
-// primary's /snapshot (or, with Options.FollowTail, tails its /log and
-// applies only the delta), restores into a fresh backend off to the
-// side, and atomically swaps it behind the read path — queries are
-// served throughout, and every write endpoint answers 403.
+// A server given Options.FollowURL is a read replica: it tails the
+// primary's /log and applies only the delta. Its position comes from a
+// /snapshot fetch — at bootstrap, and again whenever the primary
+// cannot serve the log from there (offset retired, or no log at all,
+// in which case every poll is a snapshot fetch) — which it restores
+// into a fresh backend off to the side and atomically swaps behind the
+// read path. Queries are served throughout, and every write endpoint
+// answers 403.
 
 // defaultLogSync is the fsync batching window when Options.LogSyncEvery
 // is zero.
@@ -121,7 +124,6 @@ func (s *Server) initReplication(build func() (sketch.Sketch, error)) error {
 			URL:      opt.FollowURL,
 			Interval: opt.FollowInterval,
 			Apply:    func(r io.Reader) error { return s.applySnapshot(build, r) },
-			TailLog:  opt.FollowTail,
 			ApplyItems: func(items []stream.Item) error {
 				// Tailed items were stamped and ordered by the primary;
 				// they go straight into the hot sketch.

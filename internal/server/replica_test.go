@@ -383,7 +383,7 @@ func (s snapshotFailSketch) Snapshot(w io.Writer) error {
 // mid-stream Snapshot failure must surface as an HTTP error, never as
 // a truncated 200 body a follower or checkpoint would ingest.
 func TestSnapshotErrorIsA500(t *testing.T) {
-	base, err := sketch.New(sketch.BackendSingle, gss.Config{
+	base, err := sketch.New(sketch.BackendConcurrent, gss.Config{
 		Width: 16, FingerprintBits: 16, Rooms: 2, SeqLen: 4, Candidates: 4}, sketch.Options{})
 	if err != nil {
 		t.Fatal(err)

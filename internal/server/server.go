@@ -24,13 +24,15 @@
 //	GET  /replica/stats replication role, checkpoint and follower counters
 //	GET  /healthz       liveness: role, backend name, uptime
 //
-// The sketch backend is selected at construction: "single" serializes
-// everything through one global lock, "concurrent" allows parallel
-// reads under a read-write lock, "sharded" partitions the sketch so
-// ingestion itself runs in parallel, and "windowed" summarizes only a
-// sliding window of recent stream time in bounded memory. All
-// synchronization lives in the backend (see internal/sketch); handlers
-// just call it.
+// The sketch backend is selected at construction: "concurrent" allows
+// parallel reads under a read-write lock, "sharded" partitions the
+// sketch so ingestion itself runs in parallel, and "windowed"
+// summarizes only a sliding window of recent stream time in bounded
+// memory. All synchronization lives in the backend (see
+// internal/sketch); handlers just call it. Both ingest planes — NDJSON
+// items and pre-hashed GSB1 batches — insert in arrival order, so
+// replaying the operation log reproduces the sketch byte for byte
+// whichever plane fed it.
 //
 // Items that arrive without a timestamp (or with time 0 — the wire
 // form cannot tell them apart) are stamped with the server's arrival
@@ -40,9 +42,10 @@
 // Deployments that must survive restarts set Options.CheckpointDir: the
 // server recovers from the newest valid checkpoint at startup and
 // streams periodic snapshots to disk. Deployments that must scale reads
-// set Options.FollowURL: the server becomes a read replica that polls
-// the primary's /snapshot and answers 403 on every write endpoint (see
-// replica.go and internal/replica).
+// set Options.FollowURL: the server becomes a read replica that tails
+// the primary's /log (bootstrapping from, and falling back to, its
+// /snapshot) and answers 403 on every write endpoint (see replica.go
+// and internal/replica).
 package server
 
 import (
@@ -74,10 +77,8 @@ import (
 // pre-pipeline server), batch size 512, a 64-batch async queue
 // drained by 2 workers.
 type Options struct {
-	// Backend is the sketch synchronization strategy: "single",
-	// "concurrent", "sharded" or "windowed" (default "concurrent";
-	// "single" serializes reads too and exists as the benchmark
-	// baseline).
+	// Backend is the sketch synchronization strategy: "concurrent",
+	// "sharded" or "windowed" (default "concurrent").
 	Backend string
 	// Shards is the shard count for the sharded backend (default 8).
 	Shards int
@@ -131,20 +132,17 @@ type Options struct {
 	CheckpointKeep int
 
 	// FollowURL makes this server a read replica of the primary at the
-	// given base URL: it polls FollowURL/snapshot, hot-swaps each fetch
-	// behind the read path, and rejects /insert, /ingest and /restore
-	// with 403. A follower may still checkpoint (set CheckpointDir) to
-	// be a warm spare with local durability. Empty means primary.
+	// given base URL: it tails FollowURL/log, bootstrapping from (and
+	// falling back to) FollowURL/snapshot, which it hot-swaps behind the
+	// read path — a primary without a log is followed by snapshot polls
+	// alone — and rejects /insert, /ingest and /restore with 403. A
+	// follower may still checkpoint (set CheckpointDir) to be a warm
+	// spare with local durability. Empty means primary.
 	FollowURL string
 	// FollowInterval is the follower's poll interval (default 2s); the
 	// first poll happens immediately, so a fresh follower serves
 	// current reads within one interval.
 	FollowInterval time.Duration
-	// FollowTail makes the follower tail the primary's operation log
-	// (GET /log) instead of re-fetching whole snapshots, falling back
-	// to a snapshot fetch whenever its offset has been retired or the
-	// primary serves no log.
-	FollowTail bool
 
 	// MaxRestoreBytes caps the /restore request body so a rogue client
 	// cannot OOM the server (default 1 GiB).
@@ -338,11 +336,11 @@ func (s *Server) applyJob(job ingestJob) {
 // byte copy (oplog.AppendEncoded); a stamped batch lost that shortcut
 // and re-encodes. Either way the log holds identical bytes to what the
 // string plane would have written, so replay and follower tailing see
-// one log format. The append happens before the insert because the
-// sketch may reorder the hashed batch in place.
+// one log format — and since both planes insert in arrival order,
+// replay rebuilds the sketch exactly.
 func (s *Server) applyHashedBatch(job ingestJob) {
 	if s.olog == nil {
-		sketch.InsertHashedBatch(s.sk, job.hashed)
+		s.sk.InsertHashedBatch(job.hashed)
 		return
 	}
 	s.applyMu.RLock()
@@ -356,7 +354,7 @@ func (s *Server) applyHashedBatch(job ingestJob) {
 			s.opt.Logf("server: oplog append: %v", err)
 		}
 	}
-	sketch.InsertHashedBatch(s.sk, job.hashed)
+	s.sk.InsertHashedBatch(job.hashed)
 }
 
 // startedPipeline returns the worker pool if one has started, without
@@ -655,7 +653,7 @@ func (s *Server) handleNodes(w http.ResponseWriter, r *http.Request) {
 }
 
 // nodesPage returns up to limit node identifiers (0 = all) and the
-// total count. Hash-capable backends enumerate the registry without
+// total count. It enumerates the registry on the hash plane without
 // sorting the full identifier set: the hash list is sorted (cheap
 // integers) so the page cut is deterministic per sketch state, but
 // only the returned page of strings is sorted — a bounded request
@@ -663,27 +661,19 @@ func (s *Server) handleNodes(w http.ResponseWriter, r *http.Request) {
 // O(limit log limit) string work, not a full-set string sort. Clients
 // that need the full set pass limit=0.
 func (s *Server) nodesPage(limit int) ([]string, int) {
-	if hq, ok := query.HashView(s.sk); ok {
-		hashes := hq.AppendNodeHashes(nil)
-		slices.Sort(hashes)
-		var nodes []string
-		total := 0
-		for _, hv := range hashes {
-			mark := len(nodes)
-			nodes = hq.AppendHashIDs(hv, nodes)
-			total += len(nodes) - mark
-			if limit > 0 && len(nodes) > limit {
-				nodes = nodes[:limit]
-			}
+	hashes := s.sk.AppendNodeHashes(nil)
+	slices.Sort(hashes)
+	var nodes []string
+	total := 0
+	for _, hv := range hashes {
+		mark := len(nodes)
+		nodes = s.sk.AppendHashIDs(hv, nodes)
+		total += len(nodes) - mark
+		if limit > 0 && len(nodes) > limit {
+			nodes = nodes[:limit]
 		}
-		sort.Strings(nodes)
-		return nodes, total
 	}
-	nodes := s.sk.Nodes()
-	total := len(nodes)
-	if limit > 0 && total > limit {
-		nodes = nodes[:limit]
-	}
+	sort.Strings(nodes)
 	return nodes, total
 }
 

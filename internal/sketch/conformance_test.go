@@ -15,7 +15,7 @@ import (
 // Cross-backend conformance battery. Every backend — current and
 // future — runs the same insert/query/HeavyEdges/Stats/
 // Snapshot-Restore/swap script, and every observable is diffed against
-// the single-backend baseline. A backend that drifts (drops an item,
+// a bare gss.GSS baseline. A backend that drifts (drops an item,
 // mis-merges a heavy edge, loses state across snapshot or swap) fails
 // here by name, not in some caller three layers up. New backends get
 // coverage for free: they only need to appear in Backends().
@@ -120,10 +120,7 @@ func conformanceStream() []stream.Item {
 
 func TestBackendConformance(t *testing.T) {
 	items := conformanceStream()
-	baselineSk, err := New(BackendSingle, conformanceCfg, testOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	baselineSk := gss.MustNew(conformanceCfg)
 	runScript(baselineSk, items)
 	baseline := observe(baselineSk, items)
 	if baseline.Items != int64(len(items)) || len(baseline.Edges) == 0 {
@@ -194,15 +191,9 @@ func TestBackendConformance(t *testing.T) {
 // observation, otherwise the battery proves nothing.
 func TestConformanceDetectsDrift(t *testing.T) {
 	items := conformanceStream()
-	a, err := New(BackendSingle, conformanceCfg, testOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := gss.MustNew(conformanceCfg)
 	runScript(a, items)
-	b, err := New(BackendSingle, conformanceCfg, testOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := gss.MustNew(conformanceCfg)
 	runScript(b, items)
 	b.Insert(stream.Item{Src: items[0].Src, Dst: items[0].Dst, Weight: 1,
 		Time: items[len(items)-1].Time})

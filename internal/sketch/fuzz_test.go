@@ -32,14 +32,19 @@ func fuzzSeedItems() []stream.Item {
 	}
 }
 
-// validSnapshots returns one snapshot per backend, for seeding.
+// validSnapshots returns one snapshot per backend, plus one of a bare
+// gss.GSS (the plain-sketch format), for seeding.
 func validSnapshots(tb testing.TB) map[string][]byte {
-	snaps := map[string][]byte{}
+	sketches := map[string]Sketch{"gss": gss.MustNew(fuzzCfg)}
 	for _, backend := range Backends() {
 		sk, err := New(backend, fuzzCfg, fuzzOpts)
 		if err != nil {
 			tb.Fatal(err)
 		}
+		sketches[backend] = sk
+	}
+	snaps := map[string][]byte{}
+	for backend, sk := range sketches {
 		sk.InsertBatch(fuzzSeedItems())
 		var buf bytes.Buffer
 		if err := sk.Snapshot(&buf); err != nil {

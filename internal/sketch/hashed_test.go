@@ -2,7 +2,6 @@ package sketch
 
 import (
 	"bytes"
-	"io"
 	"math/rand"
 	"testing"
 
@@ -38,14 +37,11 @@ func runHashedScript(sk Sketch, items []stream.Item) {
 
 // TestHashedConformance runs every backend through the pre-hashed
 // ingest script and diffs all observables against the string-plane
-// single-backend baseline, then checks snapshot/restore after hashed
+// bare-GSS baseline, then checks snapshot/restore after hashed
 // inserts and that a restored sketch keeps accepting hashed batches.
 func TestHashedConformance(t *testing.T) {
 	items := conformanceStream()
-	baselineSk, err := New(BackendSingle, conformanceCfg, testOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	baselineSk := gss.MustNew(conformanceCfg)
 	runScript(baselineSk, items)
 	baseline := observe(baselineSk, items)
 	if baseline.Items != int64(len(items)) || len(baseline.Edges) == 0 {
@@ -57,9 +53,6 @@ func TestHashedConformance(t *testing.T) {
 			sk, err := New(backend, conformanceCfg, testOpts)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if _, ok := sk.(HashedInserter); !ok {
-				t.Fatalf("backend %q lost the binary ingest plane", backend)
 			}
 			runHashedScript(sk, items)
 			diffObservations(t, "hashed ingest", observe(sk, items), baseline)
@@ -88,53 +81,44 @@ func TestHashedConformance(t *testing.T) {
 	}
 }
 
-// TestInsertHashedBatchFallback pins the package-level adapter on a
-// backend without the binary plane: the hashes are stripped and the
-// string path produces the same sketch.
-func TestInsertHashedBatchFallback(t *testing.T) {
-	items := conformanceStream()[:500]
-	ref, err := New(BackendSingle, conformanceCfg, testOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref.InsertBatch(items)
-	plain := &stringOnlySketch{inner: mustNewSketch(t)}
-	InsertHashedBatch(plain, stream.HashItems(items, nil))
-	diffObservations(t, "fallback", observe(plain, items), observe(ref, items))
-	if plain.batches == 0 {
-		t.Fatal("fallback never reached InsertBatch")
-	}
-}
+// TestPlanesSnapshotIdentical: every backend inserts in arrival order,
+// so one stream sent through InsertBatch and through InsertHashedBatch,
+// at different batch boundaries, must leave byte-identical snapshots —
+// what lets oplog replay rebuild a binary-fed sketch exactly. The
+// config is tight (node-hash collisions, buffer spill), so any
+// reordering would move edges between rooms and show in the bytes.
+func TestPlanesSnapshotIdentical(t *testing.T) {
+	cfg := gss.Config{Width: 24, FingerprintBits: 8, Rooms: 2, SeqLen: 4, Candidates: 4}
+	items := conformanceStream()
+	for _, backend := range Backends() {
+		t.Run(backend, func(t *testing.T) {
+			plain, err := New(backend, cfg, testOpts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < len(items); i += 100 {
+				plain.InsertBatch(items[i:min(i+100, len(items))])
+			}
+			hashed, err := New(backend, cfg, testOpts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runHashedScript(hashed, items)
 
-func mustNewSketch(t *testing.T) Sketch {
-	t.Helper()
-	sk, err := New(BackendSingle, conformanceCfg, testOpts)
-	if err != nil {
-		t.Fatal(err)
+			var a, b bytes.Buffer
+			if err := plain.Snapshot(&a); err != nil {
+				t.Fatal(err)
+			}
+			if err := hashed.Snapshot(&b); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a.Bytes(), b.Bytes()) {
+				t.Fatalf("snapshots differ: InsertBatch %d bytes, InsertHashedBatch %d bytes",
+					a.Len(), b.Len())
+			}
+			if st := plain.Stats(); st.BufferEdges == 0 {
+				t.Fatalf("config too roomy to exercise placement: %+v", st)
+			}
+		})
 	}
-	return sk
 }
-
-// stringOnlySketch hides the binary plane of an inner Sketch — the
-// stand-in for a future backend that only implements the Sketch
-// interface.
-type stringOnlySketch struct {
-	inner   Sketch
-	batches int
-}
-
-func (s *stringOnlySketch) Insert(it stream.Item) { s.inner.Insert(it) }
-func (s *stringOnlySketch) InsertBatch(items []stream.Item) {
-	s.batches++
-	s.inner.InsertBatch(items)
-}
-func (s *stringOnlySketch) EdgeWeight(src, dst string) (int64, bool) {
-	return s.inner.EdgeWeight(src, dst)
-}
-func (s *stringOnlySketch) Successors(v string) []string         { return s.inner.Successors(v) }
-func (s *stringOnlySketch) Precursors(v string) []string         { return s.inner.Precursors(v) }
-func (s *stringOnlySketch) Nodes() []string                      { return s.inner.Nodes() }
-func (s *stringOnlySketch) HeavyEdges(min int64) []gss.HeavyEdge { return s.inner.HeavyEdges(min) }
-func (s *stringOnlySketch) Stats() gss.Stats                     { return s.inner.Stats() }
-func (s *stringOnlySketch) Snapshot(w io.Writer) error           { return s.inner.Snapshot(w) }
-func (s *stringOnlySketch) Restore(r io.Reader) error            { return s.inner.Restore(r) }

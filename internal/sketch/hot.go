@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/gss"
-	"repro/internal/query"
 	"repro/internal/stream"
 )
 
@@ -45,12 +44,8 @@ func (h *Hot) Insert(it stream.Item) { h.Current().Insert(it) }
 // InsertBatch ingests a slice of items.
 func (h *Hot) InsertBatch(items []stream.Item) { h.Current().InsertBatch(items) }
 
-// InsertHashedBatch ingests a pre-hashed batch against the current
-// sketch, falling back to the string plane when it has no binary one.
-// Per-call dispatch matches Hot's swap semantics.
-func (h *Hot) InsertHashedBatch(items []stream.HashedItem) {
-	InsertHashedBatch(h.Current(), items)
-}
+// InsertHashedBatch ingests a pre-hashed batch.
+func (h *Hot) InsertHashedBatch(items []stream.HashedItem) { h.Current().InsertHashedBatch(items) }
 
 // EdgeWeight is the edge query primitive.
 func (h *Hot) EdgeWeight(src, dst string) (int64, bool) { return h.Current().EdgeWeight(src, dst) }
@@ -79,72 +74,30 @@ func (h *Hot) Snapshot(w io.Writer) error { return h.Current().Snapshot(w) }
 // and Swap it in.
 func (h *Hot) Restore(r io.Reader) error { return h.Current().Restore(r) }
 
-// hashView returns the current sketch's hash plane, if it has one.
-// Per-call resolution matches Hot's swap semantics: an operation
-// dispatched to the old sketch finishes against the old sketch.
-func (h *Hot) hashView() (query.HashSummary, bool) {
-	hq, ok := h.Current().(query.HashSummary)
-	return hq, ok
-}
-
 // NodeHash maps an identifier into the current sketch's hash space.
-func (h *Hot) NodeHash(v string) uint64 {
-	if hq, ok := h.hashView(); ok {
-		return hq.NodeHash(v)
-	}
-	return 0
-}
+func (h *Hot) NodeHash(v string) uint64 { return h.Current().NodeHash(v) }
 
 // EdgeWeightHash is the edge primitive over pre-hashed endpoints.
-func (h *Hot) EdgeWeightHash(hs, hd uint64) (int64, bool) {
-	if hq, ok := h.hashView(); ok {
-		return hq.EdgeWeightHash(hs, hd)
-	}
-	return 0, false
-}
+func (h *Hot) EdgeWeightHash(hs, hd uint64) (int64, bool) { return h.Current().EdgeWeightHash(hs, hd) }
 
 // AppendSuccessorHashes appends the sketch successors of hv to dst.
 func (h *Hot) AppendSuccessorHashes(hv uint64, dst []uint64) []uint64 {
-	if hq, ok := h.hashView(); ok {
-		return hq.AppendSuccessorHashes(hv, dst)
-	}
-	return dst
+	return h.Current().AppendSuccessorHashes(hv, dst)
 }
 
 // AppendPrecursorHashes appends the sketch precursors of hv to dst.
 func (h *Hot) AppendPrecursorHashes(hv uint64, dst []uint64) []uint64 {
-	if hq, ok := h.hashView(); ok {
-		return hq.AppendPrecursorHashes(hv, dst)
-	}
-	return dst
+	return h.Current().AppendPrecursorHashes(hv, dst)
 }
 
 // AppendNodeHashes appends every registered node hash to dst.
-func (h *Hot) AppendNodeHashes(dst []uint64) []uint64 {
-	if hq, ok := h.hashView(); ok {
-		return hq.AppendNodeHashes(dst)
-	}
-	return dst
-}
+func (h *Hot) AppendNodeHashes(dst []uint64) []uint64 { return h.Current().AppendNodeHashes(dst) }
 
 // AppendHashIDs appends the identifiers registered under hv to dst.
 func (h *Hot) AppendHashIDs(hv uint64, dst []string) []string {
-	if hq, ok := h.hashView(); ok {
-		return hq.AppendHashIDs(hv, dst)
-	}
-	return dst
+	return h.Current().AppendHashIDs(hv, dst)
 }
 
 // SupportsHashQueries reports whether the current sketch backs the
 // hash plane.
-func (h *Hot) SupportsHashQueries() bool {
-	hq, ok := h.hashView()
-	return ok && hq.SupportsHashQueries()
-}
-
-// Hot satisfies the deployment surface it wraps, including the
-// hash-native query plane.
-var (
-	_ Sketch            = (*Hot)(nil)
-	_ query.HashSummary = (*Hot)(nil)
-)
+func (h *Hot) SupportsHashQueries() bool { return h.Current().SupportsHashQueries() }

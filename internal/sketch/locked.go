@@ -6,44 +6,21 @@ import (
 	"sync"
 
 	"repro/internal/gss"
-	"repro/internal/query"
 	"repro/internal/stream"
 )
 
 // Locked adapts any Sketch to concurrent use with a single global
-// mutex: every operation — read or write — is fully serialized. It is
-// the simplest correct deployment and the baseline the batched sharded
-// backend is benchmarked against ("single-lock" in cmd/gss-bench).
+// mutex: every operation — read or write — is fully serialized. New
+// wraps the windowed backend in it, whose generation rotation makes
+// every insert a potential structural change.
 type Locked struct {
 	mu sync.Mutex
 	sk Sketch
-
-	// hq is sk's hash-native query plane when it has one; Locked
-	// forwards the plane under the same mutex. nil when sk is not
-	// hash-capable, in which case SupportsHashQueries answers false and
-	// query.HashView routes callers to the string plane instead of the
-	// forwarding methods.
-	hq query.HashSummary
-
-	// hi is sk's pre-hashed ingest plane when it has one; resolved once
-	// at construction like hq so the hot path pays no per-batch type
-	// assertion.
-	hi HashedInserter
-
-	// pm is sk's partition-migration surface when it has one, forwarded
-	// under the same mutex (see partition.go).
-	pm PartitionMigrator
 }
 
 // NewLocked wraps sk with one global mutex. sk must not be used
 // directly afterwards.
-func NewLocked(sk Sketch) *Locked {
-	l := &Locked{sk: sk}
-	l.hq, _ = sk.(query.HashSummary)
-	l.hi, _ = sk.(HashedInserter)
-	l.pm, _ = sk.(PartitionMigrator)
-	return l
-}
+func NewLocked(sk Sketch) *Locked { return &Locked{sk: sk} }
 
 // Insert ingests one stream item.
 func (l *Locked) Insert(it stream.Item) {
@@ -60,16 +37,11 @@ func (l *Locked) InsertBatch(items []stream.Item) {
 }
 
 // InsertHashedBatch ingests a pre-hashed batch under one lock
-// acquisition, stripping the hashes when the inner sketch has no
-// binary plane. The batch may be reordered in place.
+// acquisition.
 func (l *Locked) InsertHashedBatch(items []stream.HashedItem) {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.hi != nil {
-		l.hi.InsertHashedBatch(items)
-		return
-	}
-	l.sk.InsertBatch(stream.StripHashed(items, nil))
+	l.sk.InsertHashedBatch(items)
+	l.mu.Unlock()
 }
 
 // EdgeWeight is the edge query primitive.
@@ -93,69 +65,48 @@ func (l *Locked) Precursors(v string) []string {
 	return l.sk.Precursors(v)
 }
 
-// The hash-native query plane, forwarded under the mutex. The methods
-// are only reachable through query.HashView, which consults
-// SupportsHashQueries first; on a hash-incapable inner sketch they
-// return their inputs untouched.
+// The hash-native query plane, forwarded under the mutex.
 
 // NodeHash maps an identifier into the wrapped sketch's hash space.
 func (l *Locked) NodeHash(v string) uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.hq == nil {
-		return 0
-	}
-	return l.hq.NodeHash(v)
+	return l.sk.NodeHash(v)
 }
 
 // EdgeWeightHash is the edge primitive over pre-hashed endpoints.
 func (l *Locked) EdgeWeightHash(hs, hd uint64) (int64, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.hq == nil {
-		return 0, false
-	}
-	return l.hq.EdgeWeightHash(hs, hd)
+	return l.sk.EdgeWeightHash(hs, hd)
 }
 
 // AppendSuccessorHashes appends the sketch successors of hv to dst.
 func (l *Locked) AppendSuccessorHashes(hv uint64, dst []uint64) []uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.hq == nil {
-		return dst
-	}
-	return l.hq.AppendSuccessorHashes(hv, dst)
+	return l.sk.AppendSuccessorHashes(hv, dst)
 }
 
 // AppendPrecursorHashes appends the sketch precursors of hv to dst.
 func (l *Locked) AppendPrecursorHashes(hv uint64, dst []uint64) []uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.hq == nil {
-		return dst
-	}
-	return l.hq.AppendPrecursorHashes(hv, dst)
+	return l.sk.AppendPrecursorHashes(hv, dst)
 }
 
 // AppendNodeHashes appends every registered node hash to dst.
 func (l *Locked) AppendNodeHashes(dst []uint64) []uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.hq == nil {
-		return dst
-	}
-	return l.hq.AppendNodeHashes(dst)
+	return l.sk.AppendNodeHashes(dst)
 }
 
 // AppendHashIDs appends the identifiers registered under hv to dst.
 func (l *Locked) AppendHashIDs(hv uint64, dst []string) []string {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.hq == nil {
-		return dst
-	}
-	return l.hq.AppendHashIDs(hv, dst)
+	return l.sk.AppendHashIDs(hv, dst)
 }
 
 // SupportsHashQueries reports whether the wrapped sketch backs the
@@ -163,7 +114,7 @@ func (l *Locked) AppendHashIDs(hv uint64, dst []string) []string {
 func (l *Locked) SupportsHashQueries() bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.hq != nil && l.hq.SupportsHashQueries()
+	return l.sk.SupportsHashQueries()
 }
 
 // Nodes enumerates registered node identifiers.

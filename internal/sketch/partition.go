@@ -1,18 +1,15 @@
 package sketch
 
 import (
-	"errors"
-
 	"repro/internal/gss"
 	"repro/internal/stream"
-	"repro/internal/window"
 )
 
 // PartitionMigrator is the migration surface of a sketch: export the
 // edges whose source node a predicate claims (as plain stream items)
 // and drop them once the new owner absorbed the copy. Every backend
-// New can return implements it; the wrappers forward it, so the server
-// can offer partition export/drop over any deployment.
+// implements it as part of Sketch; the wrappers forward it, so the
+// server can offer partition export/drop over any deployment.
 type PartitionMigrator interface {
 	// ExportPartition streams every sketch edge whose source node
 	// moves under the predicate to emit, without modifying the sketch.
@@ -25,79 +22,39 @@ type PartitionMigrator interface {
 	AbsorbItems(n int64) error
 }
 
-// ErrNoPartitionSupport is returned by wrappers whose inner sketch has
-// no partition surface.
-var ErrNoPartitionSupport = errors.New("sketch: backend does not support partition operations")
-
-// PartitionView returns sk's partition surface, if it has one.
-func PartitionView(sk Sketch) (PartitionMigrator, bool) {
-	pm, ok := sk.(PartitionMigrator)
-	return pm, ok
-}
-
 // ExportPartition forwards to the wrapped sketch under the global
 // mutex; a long export stalls other operations, which is the Locked
 // contract for every compound operation.
 func (l *Locked) ExportPartition(moving func(id string) bool, emit func(stream.Item) error) (gss.PartitionReport, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.pm == nil {
-		return gss.PartitionReport{}, ErrNoPartitionSupport
-	}
-	return l.pm.ExportPartition(moving, emit)
+	return l.sk.ExportPartition(moving, emit)
 }
 
 // DropPartition forwards to the wrapped sketch under the global mutex.
 func (l *Locked) DropPartition(moving func(id string) bool, items int64) (gss.PartitionReport, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.pm == nil {
-		return gss.PartitionReport{}, ErrNoPartitionSupport
-	}
-	return l.pm.DropPartition(moving, items)
+	return l.sk.DropPartition(moving, items)
 }
 
 // AbsorbItems forwards to the wrapped sketch under the global mutex.
 func (l *Locked) AbsorbItems(n int64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.pm == nil {
-		return ErrNoPartitionSupport
-	}
-	return l.pm.AbsorbItems(n)
+	return l.sk.AbsorbItems(n)
 }
 
 // ExportPartition dispatches to the current sketch (per-call, matching
 // Hot's swap semantics).
 func (h *Hot) ExportPartition(moving func(id string) bool, emit func(stream.Item) error) (gss.PartitionReport, error) {
-	if pm, ok := PartitionView(h.Current()); ok {
-		return pm.ExportPartition(moving, emit)
-	}
-	return gss.PartitionReport{}, ErrNoPartitionSupport
+	return h.Current().ExportPartition(moving, emit)
 }
 
 // DropPartition dispatches to the current sketch.
 func (h *Hot) DropPartition(moving func(id string) bool, items int64) (gss.PartitionReport, error) {
-	if pm, ok := PartitionView(h.Current()); ok {
-		return pm.DropPartition(moving, items)
-	}
-	return gss.PartitionReport{}, ErrNoPartitionSupport
+	return h.Current().DropPartition(moving, items)
 }
 
 // AbsorbItems dispatches to the current sketch.
-func (h *Hot) AbsorbItems(n int64) error {
-	if pm, ok := PartitionView(h.Current()); ok {
-		return pm.AbsorbItems(n)
-	}
-	return ErrNoPartitionSupport
-}
-
-// Every backend and wrapper carries the partition surface.
-var (
-	_ PartitionMigrator = (*gss.GSS)(nil)
-	_ PartitionMigrator = (*gss.Concurrent)(nil)
-	_ PartitionMigrator = (*gss.Sharded)(nil)
-	_ PartitionMigrator = (*window.Sliding)(nil)
-	_ PartitionMigrator = (*Locked)(nil)
-	_ PartitionMigrator = (*Hot)(nil)
-)
+func (h *Hot) AbsorbItems(n int64) error { return h.Current().AbsorbItems(n) }

@@ -175,7 +175,7 @@ func TestQueryEquivalenceAcrossBackends(t *testing.T) {
 }
 
 // TestQueryEquivalenceSeeds runs the cheaper probes over several seeds
-// on the single backend, widening the random coverage where it is
+// on a bare gss.GSS, widening the random coverage where it is
 // cheapest.
 func TestQueryEquivalenceSeeds(t *testing.T) {
 	if testing.Short() {
@@ -183,10 +183,7 @@ func TestQueryEquivalenceSeeds(t *testing.T) {
 	}
 	for _, seed := range []int64{5, 17, 29, 83} {
 		t.Run(fmt.Sprint(seed), func(t *testing.T) {
-			sk, err := New(BackendSingle, equivCfg, testOpts)
-			if err != nil {
-				t.Fatal(err)
-			}
+			sk := gss.MustNew(equivCfg)
 			sk.InsertBatch(equivStream(seed))
 			checkQueryEquivalence(t, sk, nil)
 		})

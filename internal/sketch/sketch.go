@@ -1,11 +1,17 @@
 // Package sketch defines the common deployment surface of a graph
-// stream summary: ingestion (single item and batched), the three query
-// primitives of Definition 4, statistics, and snapshot/restore for
-// fail-over. The HTTP server, the benchmark harness, and the examples
-// all program against Sketch, so swapping the synchronization strategy
-// — one global lock, a read-write lock, or hash-partitioned shards —
-// is a flag, not a rewrite. This is the seam later scaling work
-// (windowed sketches, replication, alternative backends) plugs into.
+// stream summary: ingestion on both planes (plain items and items
+// carrying their endpoint hashes), the three query primitives of
+// Definition 4 on strings and on node hashes, statistics,
+// snapshot/restore for fail-over, and partition export/drop for live
+// migration. Every backend implements all of it, so callers never
+// probe for a capability. The HTTP server, the benchmark harness, and
+// the examples program against Sketch, so swapping the synchronization
+// strategy — a read-write lock, hash-partitioned shards, or a sliding
+// window behind one mutex — is a flag, not a rewrite.
+//
+// Every backend inserts in arrival order, so its state is a pure
+// function of the item sequence: the two ingest planes, any batch
+// boundaries and log replay all produce byte-identical snapshots.
 package sketch
 
 import (
@@ -19,14 +25,19 @@ import (
 )
 
 // Sketch is the full deployment interface. It is a superset of
-// query.Summary, so any Sketch also serves the compound query
-// algorithms (reachability, node aggregates) unchanged.
+// query.Summary and query.HashSummary, so any Sketch also serves the
+// compound query algorithms on the hash-native fast path.
 type Sketch interface {
 	// Insert ingests one stream item.
 	Insert(it stream.Item)
 	// InsertBatch ingests a slice of items; synchronized backends
 	// amortize lock acquisitions over the batch.
 	InsertBatch(items []stream.Item)
+	// InsertHashedBatch ingests a batch whose items already carry
+	// their endpoint hashes (the binary ingest plane); the identifier
+	// strings are only registered, never re-hashed. It leaves the same
+	// state InsertBatch of the plain items would.
+	InsertHashedBatch(items []stream.HashedItem)
 	// EdgeWeight is the edge query primitive.
 	EdgeWeight(src, dst string) (int64, bool)
 	// Successors is the 1-hop successor query primitive.
@@ -44,29 +55,26 @@ type Sketch interface {
 	// Restore replaces the sketch state from a snapshot; the state is
 	// unchanged on error.
 	Restore(r io.Reader) error
+
+	query.HashSummary
+	PartitionMigrator
 }
 
-// The gss backends and the sliding-window summary satisfy Sketch, and
-// every backend New can return also serves the hash-native query plane
-// (query.HashSummary) — the compound-query fast path the server's
-// /reachable and /nodeout handlers ride. Wrappers (Locked, Hot) keep
-// the plane across composition.
+// The backends and the wrappers satisfy Sketch.
 var (
 	_ Sketch = (*gss.GSS)(nil)
 	_ Sketch = (*gss.Concurrent)(nil)
 	_ Sketch = (*gss.Sharded)(nil)
 	_ Sketch = (*window.Sliding)(nil)
-
-	_ query.HashSummary = (*gss.GSS)(nil)
-	_ query.HashSummary = (*gss.Concurrent)(nil)
-	_ query.HashSummary = (*gss.Sharded)(nil)
-	_ query.HashSummary = (*window.Sliding)(nil)
-	_ query.HashSummary = (*Locked)(nil)
+	_ Sketch = (*Locked)(nil)
+	_ Sketch = (*Hot)(nil)
 )
+
+// InsertHashedBatch ingests a pre-hashed batch into sk.
+func InsertHashedBatch(sk Sketch, items []stream.HashedItem) { sk.InsertHashedBatch(items) }
 
 // Backend names accepted by New.
 const (
-	BackendSingle     = "single"     // one global mutex, everything serialized
 	BackendConcurrent = "concurrent" // RWMutex: parallel reads, exclusive writes
 	BackendSharded    = "sharded"    // per-shard mutexes, parallel ingestion
 	BackendWindowed   = "windowed"   // sliding window of generation sketches, bounded memory
@@ -74,7 +82,7 @@ const (
 
 // Backends lists the accepted backend names.
 func Backends() []string {
-	return []string{BackendSingle, BackendConcurrent, BackendSharded, BackendWindowed}
+	return []string{BackendConcurrent, BackendSharded, BackendWindowed}
 }
 
 // Windowed backend defaults: one hour of second-resolution timestamps
@@ -102,12 +110,6 @@ type Options struct {
 // New builds a thread-safe Sketch for the named backend.
 func New(backend string, cfg gss.Config, opt Options) (Sketch, error) {
 	switch backend {
-	case BackendSingle:
-		g, err := gss.New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return NewLocked(g), nil
 	case BackendConcurrent:
 		return gss.NewConcurrent(cfg)
 	case BackendSharded:
@@ -139,7 +141,7 @@ func New(backend string, cfg gss.Config, opt Options) (Sketch, error) {
 		// rather than a reader-writer split.
 		return NewLocked(w), nil
 	default:
-		return nil, fmt.Errorf("sketch: unknown backend %q (want %s, %s, %s or %s)",
-			backend, BackendSingle, BackendConcurrent, BackendSharded, BackendWindowed)
+		return nil, fmt.Errorf("sketch: unknown backend %q (want %s, %s or %s)",
+			backend, BackendConcurrent, BackendSharded, BackendWindowed)
 	}
 }

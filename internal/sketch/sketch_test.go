@@ -132,10 +132,10 @@ func TestBackendsAgreeOnWeights(t *testing.T) {
 		sketches[backend] = sk
 	}
 	for _, it := range items {
-		w0, _ := sketches[BackendSingle].EdgeWeight(it.Src, it.Dst)
+		w0, _ := sketches[BackendConcurrent].EdgeWeight(it.Src, it.Dst)
 		for name, sk := range sketches {
 			if w, ok := sk.EdgeWeight(it.Src, it.Dst); !ok || w != w0 {
-				t.Fatalf("%s: edge (%s,%s) = %d,%v; single says %d",
+				t.Fatalf("%s: edge (%s,%s) = %d,%v; concurrent says %d",
 					name, it.Src, it.Dst, w, ok, w0)
 			}
 		}

@@ -77,23 +77,24 @@ var DefBuckets = []float64{
 
 // Histogram is a fixed-bucket cumulative histogram. Buckets are chosen
 // at registration and never change, so Observe is a linear scan over a
-// small array plus three atomics — no locks, no allocation.
+// small array plus two atomics — no locks, no allocation. The count is
+// not kept separately: it is the sum of the bucket counts, so a render
+// that derives +Inf and _count from one pass over the buckets can never
+// tear them apart. _sum is a separate atomic and may lag _count by the
+// observations in flight.
 type Histogram struct {
-	bounds []float64 // upper bounds, ascending; +Inf is implicit
-	counts []atomic.Int64
-	count  atomic.Int64
-	sum    atomic.Uint64 // float64 bits, CAS-accumulated
+	bounds []float64      // upper bounds, ascending
+	counts []atomic.Int64 // one per bound, plus the +Inf overflow bucket
+	sum    atomic.Uint64  // float64 bits, CAS-accumulated
 }
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
-	for i, b := range h.bounds {
-		if v <= b {
-			h.counts[i].Add(1)
-			break
-		}
+	i := 0
+	for i < len(h.bounds) && v > h.bounds[i] {
+		i++
 	}
-	h.count.Add(1)
+	h.counts[i].Add(1)
 	for {
 		old := h.sum.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
@@ -104,7 +105,13 @@ func (h *Histogram) Observe(v float64) {
 }
 
 // Count returns how many values were observed.
-func (h *Histogram) Count() int64 { return h.count.Load() }
+func (h *Histogram) Count() int64 {
+	var n int64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
+}
 
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
@@ -115,7 +122,7 @@ func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 // by the slow-query plumbing and tests; scrapers compute quantiles
 // from the exposed buckets instead.
 func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
+	total := h.Count()
 	if total == 0 {
 		return 0
 	}
@@ -323,7 +330,7 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 	f := r.family(name, help, kindHistogram, labels)
 	s := f.lookupOrAdd(labels, func() *series {
 		return &series{labels: labels, h: &Histogram{
-			bounds: bounds, counts: make([]atomic.Int64, len(bounds))}}
+			bounds: bounds, counts: make([]atomic.Int64, len(bounds)+1)}}
 	})
 	return s.h
 }
@@ -418,18 +425,20 @@ func (r *Registry) Write(w io.Writer) error {
 		for _, s := range series {
 			switch {
 			case s.h != nil:
+				// +Inf and _count come from the same bucket reads.
 				var cum int64
 				for i, b := range s.h.bounds {
 					cum += s.h.counts[i].Load()
 					fmt.Fprintf(bw, "%s_bucket%s %d\n", f.name,
 						formatLabels(s.labels, L("le", formatValue(b))), cum)
 				}
+				cum += s.h.counts[len(s.h.bounds)].Load()
 				fmt.Fprintf(bw, "%s_bucket%s %d\n", f.name,
-					formatLabels(s.labels, L("le", "+Inf")), s.h.Count())
+					formatLabels(s.labels, L("le", "+Inf")), cum)
 				fmt.Fprintf(bw, "%s_sum%s %s\n", f.name,
 					formatLabels(s.labels), formatValue(s.h.Sum()))
 				fmt.Fprintf(bw, "%s_count%s %d\n", f.name,
-					formatLabels(s.labels), s.h.Count())
+					formatLabels(s.labels), cum)
 			case s.c != nil:
 				fmt.Fprintf(bw, "%s%s %d\n", f.name, formatLabels(s.labels), s.c.Value())
 			case s.g != nil:

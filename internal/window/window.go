@@ -123,42 +123,23 @@ func (s *Sliding) advance(epoch int64) bool {
 // timestamp. Items must arrive in non-decreasing time order; stragglers
 // older than the window are dropped (and counted in Stats).
 func (s *Sliding) Insert(it stream.Item) {
-	epoch := floorDiv(it.Time, s.genSpan())
-	if !s.advance(epoch) {
-		s.droppedStragglers++
-		return
-	}
-	s.generationFor(epoch).Insert(it)
+	s.InsertHashedBatch([]stream.HashedItem{stream.HashItem(it)})
 }
 
-// InsertBatch ingests a slice of items, grouping consecutive same-epoch
-// runs so rotation and the generation lookup happen once per run
-// instead of once per item — on a time-ordered stream that is one
-// lookup per generation touched by the batch.
+// InsertBatch ingests a slice of items: each identifier is hashed once
+// and the batch takes the hashed path, so both ingest planes share one
+// epoch-run grouping.
 func (s *Sliding) InsertBatch(items []stream.Item) {
-	span := s.genSpan()
-	for i := 0; i < len(items); {
-		epoch := floorDiv(items[i].Time, span)
-		j := i + 1
-		for j < len(items) && floorDiv(items[j].Time, span) == epoch {
-			j++
-		}
-		if s.advance(epoch) {
-			s.generationFor(epoch).InsertBatch(items[i:j])
-		} else {
-			s.droppedStragglers += int64(j - i)
-		}
-		i = j
-	}
+	s.InsertHashedBatch(stream.HashItems(items, nil))
 }
 
-// InsertHashedBatch ingests a pre-hashed batch, the binary ingest
-// plane's entry point: the same consecutive same-epoch run grouping as
-// InsertBatch, with each run forwarded to its live generation's hashed
-// path — the carried hashes reduce into the generation's node space
-// there, so nothing in the windowed layer re-hashes an identifier.
-// Runs may be reordered in place by the generation's region sort
-// (run boundaries are computed first, so grouping is unaffected).
+// InsertHashedBatch ingests a pre-hashed batch, grouping consecutive
+// same-epoch runs so rotation and the generation lookup happen once
+// per run instead of once per item — on a time-ordered stream that is
+// one lookup per generation touched by the batch. Each run goes to its
+// live generation's hashed path, where the carried hashes reduce into
+// the generation's node space; nothing in the windowed layer re-hashes
+// an identifier.
 func (s *Sliding) InsertHashedBatch(items []stream.HashedItem) {
 	span := s.genSpan()
 	for i := 0; i < len(items); {
