@@ -2,18 +2,23 @@ package cluster
 
 import (
 	"bytes"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strconv"
 	"testing"
 
+	"repro/internal/sketch"
 	"repro/internal/stream"
 )
 
-// The router's /insert body decoder parses attacker-reachable bytes
-// before anything is routed, so it gets the same fuzz treatment as the
-// other decode surfaces: whatever the input, items or an error — never
-// a panic — and nothing without both endpoints may pass.
+// The router's /insert path parses attacker-reachable bytes with
+// stream.DecodeInsert (fuzzed on its own in internal/stream) and then
+// re-frames every accepted item as a GSB1 record for its owner. The
+// fuzz contract here is the re-framing: whatever the body, each
+// record the router builds scans back to a hash that routes exactly
+// like the item's source string, and decodes back to the very item
+// that was accepted — so a member applies what the producer sent.
 
 var insertSeeds = [][]byte{
 	[]byte(`{"src":"a","dst":"b"}`),
@@ -32,36 +37,61 @@ func FuzzDecodeInsert(f *testing.F) {
 	for _, seed := range insertSeeds {
 		f.Add(seed)
 	}
+	ring, err := NewRing([]string{"http://a", "http://b", "http://c"})
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		items, err := decodeInsertItems(data)
+		items, err := stream.DecodeInsert(data)
 		if err != nil {
 			return
 		}
 		for _, it := range items {
-			if it.Src == "" || it.Dst == "" {
-				t.Fatalf("decoder passed an item without endpoints: %+v", it)
+			rec := stream.AppendHashedItem(nil, stream.HashItem(it))
+			hsrc, n, err := stream.ScanHashedRecord(rec)
+			if err != nil || n != len(rec) {
+				t.Fatalf("router-built record for %+v does not scan: n=%d of %d, %v", it, n, len(rec), err)
+			}
+			if ring.OwnerHash(hsrc) != ring.Owner(it.Src) {
+				t.Fatalf("record for %+v routes by its carried hash to another owner", it)
+			}
+			back, _, err := stream.DecodeHashedItem(rec)
+			if err != nil || back.Item != it {
+				t.Fatalf("record decodes to %+v (%v), want %+v", back.Item, err, it)
 			}
 		}
 	})
 }
 
-// TestDecodeInsertDefaults pins the wire semantics the fuzz target
-// cannot see: omitted weight means one observation, and both the
-// object and the array form decode.
+// TestDecodeInsertDefaults pins the wire semantics end to end through
+// the router: omitted weight means one observation, both the object
+// and the array form land on the owning member, and an item without
+// both endpoints is refused before anything is routed.
 func TestDecodeInsertDefaults(t *testing.T) {
-	items, err := decodeInsertItems([]byte(`{"src":"a","dst":"b"}`))
-	if err != nil || len(items) != 1 || items[0].Weight != 1 {
-		t.Fatalf("object form: %v %+v", err, items)
+	_, urls := startMembers(t, 2, sketch.BackendConcurrent)
+	_, ts := newTestRouter(t, Config{Members: urls})
+	if resp, raw := postBody(t, ts.URL+"/insert", `{"src":"a","dst":"b"}`, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("object form: status %d (%s)", resp.StatusCode, raw)
 	}
-	items, err = decodeInsertItems([]byte(`[{"src":"a","dst":"b","weight":7,"time":3,"label":2},{"src":"b","dst":"c"}]`))
-	if err != nil || len(items) != 2 {
-		t.Fatalf("array form: %v %+v", err, items)
+	if resp, raw := postBody(t, ts.URL+"/insert",
+		`[{"src":"c","dst":"d","weight":7,"time":3,"label":2},{"src":"e","dst":"f"}]`, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("array form: status %d (%s)", resp.StatusCode, raw)
 	}
-	if items[0].Weight != 7 || items[0].Time != 3 || items[0].Label != 2 || items[1].Weight != 1 {
-		t.Fatalf("fields lost: %+v", items)
+	for _, c := range []struct {
+		src, dst string
+		weight   int64
+	}{{"a", "b", 1}, {"c", "d", 7}, {"e", "f", 1}} {
+		var edge struct {
+			Weight int64 `json:"weight"`
+			Found  bool  `json:"found"`
+		}
+		getJSON(t, ts.URL+"/edge?src="+c.src+"&dst="+c.dst, &edge)
+		if !edge.Found || edge.Weight != c.weight {
+			t.Fatalf("edge %s->%s = %+v, want weight %d", c.src, c.dst, edge, c.weight)
+		}
 	}
-	if _, err := decodeInsertItems([]byte(`[{"src":"a","dst":""}]`)); err == nil {
-		t.Fatal("missing dst accepted")
+	if resp, raw := postBody(t, ts.URL+"/insert", `[{"src":"a","dst":""}]`, nil); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("missing dst: status %d (%s), want 400", resp.StatusCode, raw)
 	}
 }
 

@@ -5,12 +5,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/url"
 	"strconv"
-	"sync"
 
 	"repro/internal/stream"
 	"repro/internal/telemetry"
@@ -23,57 +23,18 @@ import (
 // router answers 429 with Retry-After, the same backpressure convention
 // the bounded ingest queue uses: producers back off and retry instead
 // of the router buffering without bound.
+//
+// The identifier hash is computed once, at the edge. The unit the
+// router routes is a validated GSB1 record: a GSB1 upload's records
+// are scanned (stream.ScanHashedRecord) and carry the producer's
+// hashes; an NDJSON line or an /insert item is decoded, hashed once
+// (stream.HashItem) and encoded as a record. Either way the record
+// goes to its owner's member frame — every write a member receives
+// from the router, spill replay and migration copy included, is a
+// GSB1 /ingest request, so members never re-hash an identifier — or,
+// for a down partition, its payload goes to the spill log.
 
 func queryEscape(s string) string { return url.QueryEscape(s) }
-
-// wireItem is the JSON wire form of a stream item (the HTTP API's
-// field names; omitted weight means one observation).
-type wireItem struct {
-	Src    string `json:"src"`
-	Dst    string `json:"dst"`
-	Weight int64  `json:"weight"`
-	Time   int64  `json:"time,omitempty"`
-	Label  uint32 `json:"label,omitempty"`
-}
-
-// decodeInsertItems parses an /insert body — a single JSON object or an
-// array of them — into stream items, mirroring internal/server's
-// semantics: src and dst are required, omitted weight defaults to 1.
-func decodeInsertItems(body []byte) ([]stream.Item, error) {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	tok, err := dec.Token()
-	if err != nil {
-		return nil, fmt.Errorf("bad JSON: %v", err)
-	}
-	var wires []wireItem
-	if delim, ok := tok.(json.Delim); ok && delim == '[' {
-		for dec.More() {
-			wi := wireItem{Weight: 1}
-			if err := dec.Decode(&wi); err != nil {
-				return nil, fmt.Errorf("bad item: %v", err)
-			}
-			wires = append(wires, wi)
-		}
-	} else if ok && delim == '{' {
-		// Re-decode the whole object: the opening brace was consumed.
-		wi := wireItem{Weight: 1}
-		if err := json.Unmarshal(body, &wi); err != nil {
-			return nil, fmt.Errorf("bad item: %v", err)
-		}
-		wires = append(wires, wi)
-	} else {
-		return nil, fmt.Errorf("expected object or array, got %v", tok)
-	}
-	items := make([]stream.Item, len(wires))
-	for i, wi := range wires {
-		if wi.Src == "" || wi.Dst == "" {
-			return nil, fmt.Errorf("src and dst are required")
-		}
-		items[i] = stream.Item{Src: wi.Src, Dst: wi.Dst, Weight: wi.Weight,
-			Time: wi.Time, Label: wi.Label}
-	}
-	return items, nil
-}
 
 // retryAfter429 writes the 429 a down partition's writes receive,
 // advising the producer to retry after the next probe tick. acceptedKey
@@ -101,157 +62,6 @@ func (rt *Router) retryAfter429(w http.ResponseWriter, acceptedKey string, accep
 	_ = json.NewEncoder(w).Encode(body)
 }
 
-// handleInsert splits the posted item(s) by owner and forwards each
-// group as one member /insert. Groups owned by a down partition are
-// absorbed into its spill log when one is configured (counted in the
-// reply as "spilled" — they reach the member when it recovers);
-// without a spill, or with the spill at budget, the split stays
-// all-or-nothing: the whole request answers 429 before a single item
-// lands, so a producer never has to untangle a partially applied
-// small batch.
-func (rt *Router) handleInsert(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<26))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "reading body: %v", err)
-		return
-	}
-	items, err := decodeInsertItems(body)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	// The whole request runs under the topology read fence: one snapshot
-	// routes every item, and a migration's handoff/cutover (which take
-	// the write side) cannot interleave with a half-forwarded batch.
-	rt.topoMu.RLock()
-	defer rt.topoMu.RUnlock()
-	t := rt.topology()
-	groups := make(map[*member][]stream.Item)
-	for _, it := range items {
-		m := t.owner(it.Src)
-		groups[m] = append(groups[m], it)
-	}
-	// Known-down partitions are resolved before anything is sent: every
-	// one of them must be spillable (spill configured and under budget)
-	// or the whole batch answers 429 untouched — all-or-nothing.
-	for m := range groups {
-		if m.down.Load() && (m.spill == nil || m.spill.atBudget()) {
-			rt.retryAfter429(w, "inserted", 0, 0, int64(len(items)), m.primary)
-			return
-		}
-	}
-	var spilled int64
-	for m, group := range groups {
-		if !m.down.Load() {
-			continue
-		}
-		if err := m.spill.append(group); err != nil {
-			// The budget was pre-checked, so this is an I/O failure: the
-			// spill can no longer keep its durability promise.
-			httpError(w, http.StatusInternalServerError, "cluster: spilling for %s: %v", m.primary, err)
-			return
-		}
-		spilled += int64(len(group))
-		delete(groups, m)
-	}
-	// During a handoff window every forwarded item whose owner changes
-	// under the next ring is ALSO delivered to its future owner, grouped
-	// by (current owner, future owner) so the migration can attribute the
-	// double-write to the right loser's drop budget. Pre-spilled items
-	// are deliberately NOT shadowed: they reach their (post-change) owner
-	// exactly once via the re-routed spill replay.
-	var shadowGroups map[shadowKey][]stream.Item
-	if t.next != nil {
-		shadowGroups = make(map[shadowKey][]stream.Item)
-		for m, group := range groups {
-			for _, it := range group {
-				if g := t.shadowOwner(it.Src); g != nil {
-					k := shadowKey{loser: m, gainer: g}
-					shadowGroups[k] = append(shadowGroups[k], it)
-				}
-			}
-		}
-	}
-	ctx, cancel := rt.reqCtx(r)
-	defer cancel()
-	var mu sync.Mutex
-	var inserted int64
-	var downMember string
-	var downDropped int64
-	var hardErr error
-	var wg sync.WaitGroup
-	for m, group := range groups {
-		wg.Add(1)
-		go func(m *member, group []stream.Item) {
-			defer wg.Done()
-			n, err := rt.forwardInsert(ctx, m, group)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if isTransport(err) {
-					m.setErr(err)
-					if !m.down.Swap(true) {
-						rt.cfg.Logf("cluster: member %s down (insert failed): %v", m.primary, err)
-					}
-					// The member died under this very request; the group is
-					// still in hand, so the spill can absorb it. Not during a
-					// handoff window, though: the group's shadow copy may land
-					// at the gainer, and a later replay would deliver it a
-					// second time — counting it dropped fails the migration
-					// instead (see below), which rolls back cleanly.
-					if t.next == nil && m.spill != nil && m.spill.append(group) == nil {
-						spilled += int64(len(group))
-						return
-					}
-					downMember, downDropped = m.primary, downDropped+int64(len(group))
-				} else if hardErr == nil {
-					hardErr = err
-				}
-				return
-			}
-			inserted += n
-		}(m, group)
-	}
-	wg.Wait()
-	// Deliver the handoff double-writes. The shadow confirmations finish
-	// before this handler releases the read fence, so the migration's
-	// ledger is complete the instant the cutover takes the write side.
-	// Shadow failures fail the MIGRATION (it rolls back), never the
-	// client request — the serving owner already confirmed the items.
-	for k, group := range shadowGroups {
-		n, err := rt.forwardInsert(ctx, k.gainer, group)
-		if n > 0 {
-			t.mig.noteShadow(k.loser, k.gainer, n)
-		}
-		if err != nil {
-			t.mig.fail(fmt.Errorf("handoff double-write to %s: %w", k.gainer.primary, err))
-		} else if n != int64(len(group)) {
-			t.mig.fail(fmt.Errorf("handoff double-write: %s confirmed %d of %d items",
-				k.gainer.primary, n, len(group)))
-		}
-	}
-	if t.next != nil && (downDropped > 0 || hardErr != nil) {
-		t.mig.fail(fmt.Errorf("cluster: writes lost during handoff (member %s)", downMember))
-	}
-	if hardErr != nil {
-		httpError(w, http.StatusBadGateway, "cluster: %v", hardErr)
-		return
-	}
-	if downMember != "" {
-		rt.retryAfter429(w, "inserted", inserted, spilled, downDropped, downMember)
-		return
-	}
-	res := map[string]interface{}{"inserted": inserted, "members": len(groups)}
-	if spilled > 0 {
-		res["spilled"] = spilled
-	}
-	writeJSON(w, res)
-}
-
 // transportError wraps failures to reach a member at all, as opposed to
 // a member answering with an error status.
 type transportError struct{ err error }
@@ -264,144 +74,79 @@ func isTransport(err error) bool {
 	return ok
 }
 
-// forwardInsert posts one owner group to its member as a JSON array.
-func (rt *Router) forwardInsert(ctx context.Context, m *member, group []stream.Item) (int64, error) {
-	wires := make([]wireItem, len(group))
-	for i, it := range group {
-		wires[i] = wireItem{Src: it.Src, Dst: it.Dst, Weight: it.Weight,
-			Time: it.Time, Label: it.Label}
+// markDown records a failed write to m and flips the partition down,
+// logging the transition once.
+func (rt *Router) markDown(m *member, what string, err error) {
+	m.setErr(err)
+	if !m.down.Swap(true) {
+		rt.cfg.Logf("cluster: member %s down (%s failed): %v", m.primary, what, err)
 	}
-	body, err := json.Marshal(wires)
-	if err != nil {
-		return 0, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		m.primary+"/insert", bytes.NewReader(body))
-	if err != nil {
-		return 0, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if id := telemetry.RequestID(ctx); id != "" {
-		req.Header.Set(telemetry.HeaderRequestID, id)
-	}
-	resp, err := rt.cfg.Client.Do(req)
-	if err != nil {
-		return 0, transportError{err}
-	}
-	defer resp.Body.Close()
-	var res struct {
-		Inserted int64 `json:"inserted"`
-	}
-	if resp.StatusCode != http.StatusOK {
-		slurp, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return 0, fmt.Errorf("member %s /insert returned %d: %s",
-			m.primary, resp.StatusCode, bytes.TrimSpace(slurp))
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
-		return 0, err
-	}
-	return res.Inserted, nil
 }
 
 // maxIngestBatch bounds the per-request ?batch= override (the same cap
 // internal/server enforces).
 const maxIngestBatch = 1 << 16
 
-// memberStream is one open NDJSON /ingest request to a member: raw
-// item lines are written onto a pipe as they are routed, and the
-// member decodes and inserts concurrently — one member round-trip per
-// router request, however many items flow through it.
-type memberStream struct {
-	m    *member
-	pw   *io.PipeWriter
-	bw   *bufio.Writer
-	sent int64 // items written to the pipe
-	done chan ingestReply
-}
-
-// writeLine forwards one validated NDJSON line verbatim.
-func (ms *memberStream) writeLine(raw []byte) error {
-	if _, err := ms.bw.Write(raw); err != nil {
-		return err
+// handleInsert routes the posted item(s) — one object or an array,
+// decoded by stream.DecodeInsert like a member would, within the same
+// stream.MaxInsertBytes cap (413 past it) — through the /ingest
+// machinery. Items owned by a down partition are absorbed into its
+// spill log when one is configured (counted in the reply as
+// "spilled"); without a spill, or with the spill at budget, the
+// request stays all-or-nothing: it answers 429 before a single item
+// lands, so a producer never has to untangle a partially applied small
+// batch.
+func (rt *Router) handleInsert(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodPost {
+		httpError(w, http.StatusMethodNotAllowed, "POST required")
+		return
 	}
-	return ms.bw.WriteByte('\n')
-}
-
-type ingestReply struct {
-	ingested int64
-	err      error
-}
-
-// openStream starts the member-side /ingest request feeding from a
-// pipe. The response is reported on done once the member replies (or
-// the request fails).
-func (rt *Router) openStream(ctx context.Context, m *member, batchSize int) *memberStream {
-	// The write buffer absorbs roughly one member-side decode batch, so
-	// the router keeps streaming while the member holds its insert lock
-	// instead of stalling the connection on every batch boundary.
-	pr, pw := io.Pipe()
-	ms := &memberStream{m: m, pw: pw, bw: bufio.NewWriterSize(pw, 64<<10),
-		done: make(chan ingestReply, 1)}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		m.primary+"/ingest?batch="+strconv.Itoa(batchSize), pr)
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, stream.MaxInsertBytes))
 	if err != nil {
-		// Tear the pipe too: with no request goroutine reading pr, a
-		// later write (or the final flush) would otherwise block the
-		// handler forever.
-		pr.CloseWithError(err)
-		ms.done <- ingestReply{err: err}
-		return ms
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			httpError(w, http.StatusRequestEntityTooLarge,
+				"body exceeds %d bytes; stream bulk uploads through /ingest", stream.MaxInsertBytes)
+			return
+		}
+		httpError(w, http.StatusBadRequest, "reading body: %v", err)
+		return
 	}
-	req.Header.Set("Content-Type", "application/x-ndjson")
-	if id := telemetry.RequestID(ctx); id != "" {
-		req.Header.Set(telemetry.HeaderRequestID, id)
-	}
-	go rt.postIngest(req, pr, m, ms.done)
-	return ms
-}
-
-// postIngest issues one member-side /ingest request feeding from pr
-// and reports the member's reply on done — the response half of a
-// member stream, shared by the NDJSON and binary planes.
-func (rt *Router) postIngest(req *http.Request, pr *io.PipeReader, m *member, done chan ingestReply) {
-	resp, err := rt.cfg.Client.Do(req)
+	items, err := stream.DecodeInsert(body)
 	if err != nil {
-		// Tear the pipe so the encoder side stops blocking; the
-		// router counts this partition's items as unconfirmed.
-		pr.CloseWithError(err)
-		done <- ingestReply{err: transportError{err}}
+		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	defer resp.Body.Close()
-	var res struct {
-		Ingested int64 `json:"ingested"`
+	hashed := stream.HashItems(items, make([]stream.HashedItem, 0, len(items)))
+	ctx, cancel := rt.reqCtx(r)
+	defer cancel()
+	rt.topoMu.RLock()
+	defer rt.topoMu.RUnlock()
+	t := rt.topology()
+	for i := range hashed {
+		if m := t.ownerHash(hashed[i].HSrc); m.down.Load() && (m.spill == nil || m.spill.atBudget()) {
+			rt.retryAfter429(w, "inserted", 0, 0, int64(len(hashed)), m.primary)
+			return
+		}
 	}
-	if resp.StatusCode != http.StatusOK {
-		slurp, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		pr.CloseWithError(fmt.Errorf("member status %d", resp.StatusCode))
-		done <- ingestReply{err: fmt.Errorf("member %s /ingest returned %d: %s",
-			m.primary, resp.StatusCode, bytes.TrimSpace(slurp))}
-		return
+	u := rt.newUpload(ctx, t, rt.cfg.BatchSize)
+	var rec []byte
+	for i := range hashed {
+		rec = stream.AppendHashedItem(rec[:0], hashed[i])
+		u.route(hashed[i].HSrc, rec)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
-		done <- ingestReply{err: err}
-		return
-	}
-	done <- ingestReply{ingested: res.Ingested}
+	u.finish()
+	u.reply(w, "inserted", nil)
 }
 
 // handleIngest streams a bulk body through the cluster. Content-Type
-// selects the plane exactly as on a member: NDJSON (the default) is
-// handled here, the GSB1 binary type in handleIngestBinary, anything
-// else answers 415.
+// selects how the body becomes records exactly as on a member: NDJSON
+// (the default) lines are decoded, hashed and encoded; GSB1 records are
+// scanned and forwarded byte for byte; anything else answers 415. From
+// there one routing loop serves both planes: each record goes onto
+// one long-lived member /ingest request per partition.
 //
-// On the NDJSON plane each line is routed by source-node owner onto
-// one long-lived member /ingest request per partition, forwarded
-// VERBATIM — the router pays only
-// stream.ScanItemLine per item (extract src, prove the member's full
-// decode will accept the line), not a decode plus re-encode, so the
-// per-item router cost stays a fraction of the member's insert cost.
-// Items bound for a down partition are absorbed into its spill log
+// Records bound for a down partition are absorbed into its spill log
 // when one is configured (reported as "spilled" — delivered when the
 // member recovers); otherwise they are counted dropped and the reply
 // is 429 — mid-stream member failures downgrade the same way (the
@@ -431,231 +176,420 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 		batchSize = n
 	}
+	walk := walkNDJSON
 	if binary {
-		rt.handleIngestBinary(w, r, batchSize)
-		return
+		walk = walkGSB1
 	}
 	ctx, cancel := rt.reqCtx(r)
 	defer cancel()
-
 	// One topology snapshot routes the whole upload, under the read
 	// fence so a handoff/cutover never interleaves with it (the fence
-	// also guarantees the shadow confirmations below are on the
-	// migration's ledger before cutover can proceed).
+	// also guarantees the shadow confirmations are on the migration's
+	// ledger before cutover can proceed).
 	rt.topoMu.RLock()
 	defer rt.topoMu.RUnlock()
-	t := rt.topology()
+	u := rt.newUpload(ctx, rt.topology(), batchSize)
+	decodeErr := walk(r.Body, u.route)
+	u.finish()
+	u.reply(w, "ingested", decodeErr)
+}
 
-	streams := make(map[*member]*memberStream, len(t.members))
-	// Handoff double-writes ride dedicated per-gainer streams (never the
-	// gainer's primary stream, whose confirmation count must stay
-	// attributable to primary traffic), with per-(loser,gainer) counts
-	// for the drop accounting.
-	var shadowStreams map[*member]*memberStream
-	var shadowSent map[shadowKey]int64
-	if t.next != nil {
-		shadowStreams = make(map[*member]*memberStream)
-		shadowSent = make(map[shadowKey]int64)
-	}
-	// spillBuf batches a down partition's decoded items between spill
-	// appends, so the fsync-per-append spill pays one sync per
-	// batchSize items, not one per line.
-	type spillBuf struct {
-		items []stream.Item
-		full  bool // budget hit: stop buffering, count the rest dropped
-	}
-	spillBufs := make(map[*member]*spillBuf)
-	var spilled int64
-	var dropped int64
-	var downMember string
-	var decodeErr error
-	sc := stream.NewLineScanner(r.Body)
-	lineNo := 0
+// walkNDJSON turns an NDJSON body into GSB1 records: each line is
+// decoded (stream.DecodeItemLine), hashed once and encoded. emit gets
+// the record's source hash and bytes, valid only during the call. The
+// error names the line that failed.
+func walkNDJSON(body io.Reader, emit func(hsrc uint64, rec []byte)) error {
+	sc := stream.NewLineScanner(body)
+	var rec []byte
+	line := 0
 	for sc.Scan() {
-		lineNo++
+		line++
 		raw := bytes.TrimSpace(sc.Bytes())
 		if len(raw) == 0 {
 			continue
 		}
-		src, _, err := stream.ScanItemLine(raw)
+		it, err := stream.DecodeItemLine(raw)
 		if err != nil {
-			decodeErr = err
+			return fmt.Errorf("line %d: %v", line, err)
+		}
+		h := stream.HashItem(it)
+		rec = stream.AppendHashedItem(rec[:0], h)
+		emit(h.HSrc, rec)
+	}
+	if err := sc.Err(); err != nil {
+		return fmt.Errorf("line %d: %v", line+1, err)
+	}
+	return nil
+}
+
+// walkGSB1 walks a GSB1 body record by record: ScanHashedRecord yields
+// the carried H(src) routing key and structurally vouches for the
+// bytes without materializing an identifier string or hashing
+// anything. emit gets each record, valid only during the call (the
+// frame buffer is recycled). The error names the frame and record
+// that failed.
+func walkGSB1(body io.Reader, emit func(hsrc uint64, rec []byte)) error {
+	fr := stream.NewFrameReader(body)
+	fr.SetReuse(true)
+	for {
+		records, count := fr.Next()
+		if records == nil {
 			break
 		}
-		m := t.owner(src)
-		ms := streams[m]
-		if ms == nil {
-			if m.down.Load() {
-				if m.spill != nil {
-					sb := spillBufs[m]
-					if sb == nil {
-						sb = &spillBuf{}
-						spillBufs[m] = sb
-					}
-					if !sb.full {
-						its, err := decodeInsertItems(raw)
-						if err != nil {
-							// ScanItemLine vouched for the line, so this is
-							// a grammar corner the two decoders disagree on;
-							// dropping just it keeps the request honest.
-							dropped++
-							downMember = m.primary
-							continue
-						}
-						sb.items = append(sb.items, its...)
-						if len(sb.items) >= batchSize {
-							if err := m.spill.append(sb.items); err != nil {
-								sb.full = true
-								dropped += int64(len(sb.items))
-								downMember = m.primary
-							} else {
-								spilled += int64(len(sb.items))
-							}
-							sb.items = sb.items[:0]
-						}
-						continue
-					}
-				}
-				dropped++
-				downMember = m.primary
-				continue
+		pos := 0
+		for i := 0; i < count; i++ {
+			hsrc, n, err := stream.ScanHashedRecord(records[pos:])
+			if err != nil {
+				return fmt.Errorf("frame %d record %d: %v", fr.Frames(), i+1, err)
 			}
-			ms = rt.openStream(ctx, m, batchSize)
-			streams[m] = ms
+			emit(hsrc, records[pos:pos+n])
+			pos += n
 		}
-		if ms.pw == nil { // stream already failed mid-request
-			dropped++
-			continue
-		}
-		if err := ms.writeLine(raw); err != nil {
-			// The member side tore the pipe: mark the partition down
-			// and stop routing to it; its items count as dropped
-			// because the member never confirmed them.
-			ms.m.setErr(err)
-			if !ms.m.down.Swap(true) {
-				rt.cfg.Logf("cluster: member %s down (ingest failed): %v", ms.m.primary, err)
-			}
-			downMember = ms.m.primary
-			dropped += ms.sent + 1
-			ms.sent = 0
-			ms.pw = nil
-			continue
-		}
-		ms.sent++
-		if g := t.shadowOwner(src); g != nil {
-			ss := shadowStreams[g]
-			if ss == nil {
-				ss = rt.openStream(ctx, g, batchSize)
-				shadowStreams[g] = ss
-			}
-			if ss.pw == nil {
-				continue // shadow stream already failed; the migration is failing
-			}
-			if err := ss.writeLine(raw); err != nil {
-				t.mig.fail(fmt.Errorf("handoff double-write to %s: %w", g.primary, err))
-				ss.pw = nil
-				continue
-			}
-			ss.sent++
-			shadowSent[shadowKey{loser: m, gainer: g}]++
+		if pos != len(records) {
+			return fmt.Errorf("frame %d holds %d bytes past its %d records",
+				fr.Frames(), len(records)-pos, count)
 		}
 	}
-	if decodeErr == nil {
-		decodeErr = sc.Err()
+	if err := fr.Err(); err != nil {
+		return fmt.Errorf("frame %d: %v", fr.Frames()+1, err)
 	}
+	return nil
+}
 
-	// Flush the partial spill buffers.
-	for m, sb := range spillBufs {
-		if len(sb.items) == 0 {
-			continue
-		}
-		if err := m.spill.append(sb.items); err != nil {
-			dropped += int64(len(sb.items))
-			downMember = m.primary
-		} else {
-			spilled += int64(len(sb.items))
-		}
-	}
+// upload is one write request's routing state: a member writer per
+// live partition it touched, spill buffers for down partitions, the
+// handoff double-write writers, and the tallies the reply reports.
+type upload struct {
+	rt        *Router
+	ctx       context.Context
+	t         *topology
+	batchSize int
 
-	// Flush and close every stream, then collect the member replies.
-	var ingested int64
-	var hardErr error
-	for _, ms := range streams {
-		if ms.pw != nil {
-			if err := ms.bw.Flush(); err == nil {
-				ms.pw.Close()
-			} else {
-				ms.pw.CloseWithError(err)
-			}
+	writers map[*member]*memberWriter
+	spills  map[*member]*spillBuf
+	// Handoff double-writes ride dedicated per-gainer writers (never
+	// the gainer's primary writer, whose confirmation count must stay
+	// attributable to primary traffic), with per-(loser,gainer) counts
+	// for the drop accounting.
+	shadows    map[*member]*memberWriter
+	shadowSent map[shadowKey]int64
+
+	ingested, spilled, dropped int64
+	downMember                 string
+	hardErr                    error
+}
+
+// spillBuf batches a down partition's record payloads between spill
+// appends — one fsync per batchSize records, not one per record.
+type spillBuf struct {
+	payloads [][]byte
+	full     bool // budget hit: stop buffering, count the rest dropped
+}
+
+func (rt *Router) newUpload(ctx context.Context, t *topology, batchSize int) *upload {
+	return &upload{rt: rt, ctx: ctx, t: t, batchSize: batchSize,
+		writers: make(map[*member]*memberWriter, len(t.members)),
+		spills:  make(map[*member]*spillBuf),
+		shadows: make(map[*member]*memberWriter), shadowSent: make(map[shadowKey]int64)}
+}
+
+// route sends one validated record to its owner's member frame, or to
+// the owner's spill when the partition is down, plus — during a
+// handoff window — a copy to the key's future owner.
+func (u *upload) route(hsrc uint64, rec []byte) {
+	m := u.t.ownerHash(hsrc)
+	mw := u.writers[m]
+	if mw == nil {
+		if m.down.Load() {
+			u.spill(m, rec)
+			return
 		}
-		reply := <-ms.done
+		mw = u.rt.openWriter(u.ctx, m, u.batchSize)
+		u.writers[m] = mw
+	}
+	if mw.failed {
+		u.dropped++
+		return
+	}
+	if err := mw.write(rec); err != nil {
+		// The member side tore the pipe: mark the partition down and
+		// stop routing to it; every record it has not confirmed counts
+		// dropped.
+		u.rt.markDown(m, "ingest", err)
+		u.downMember = m.primary
+		u.dropped += mw.sent
+		mw.sent = 0
+		return
+	}
+	if g := u.t.shadowOwnerHash(hsrc); g != nil {
+		sw := u.shadows[g]
+		if sw == nil {
+			sw = u.rt.openWriter(u.ctx, g, u.batchSize)
+			u.shadows[g] = sw
+		}
+		if sw.failed {
+			return // the migration is failing already
+		}
+		if err := sw.write(rec); err != nil {
+			u.t.mig.fail(fmt.Errorf("handoff double-write to %s: %w", g.primary, err))
+			return
+		}
+		u.shadowSent[shadowKey{loser: m, gainer: g}]++
+	}
+}
+
+// spill buffers the record's GSS1 payload for m's spill log (copied:
+// the record bytes are reused), or counts it dropped when m has no
+// spill or the spill refused an earlier append.
+func (u *upload) spill(m *member, rec []byte) {
+	sb := u.spills[m]
+	if sb == nil && m.spill != nil {
+		sb = &spillBuf{}
+		u.spills[m] = sb
+	}
+	if sb == nil || sb.full {
+		u.dropped++
+		u.downMember = m.primary
+		return
+	}
+	sb.payloads = append(sb.payloads, append([]byte(nil), stream.HashedRecordPayload(rec)...))
+	if len(sb.payloads) >= u.batchSize {
+		sb.full = !u.flushSpill(m, sb)
+	}
+}
+
+// flushSpill appends the buffered payloads to m's spill log and
+// reports whether the log took them.
+func (u *upload) flushSpill(m *member, sb *spillBuf) bool {
+	n := int64(len(sb.payloads))
+	if n == 0 {
+		return true
+	}
+	err := m.spill.append(sb.payloads)
+	sb.payloads = sb.payloads[:0]
+	if err != nil {
+		u.dropped += n
+		u.downMember = m.primary
+		return false
+	}
+	u.spilled += n
+	return true
+}
+
+// finish flushes the spill buffers, closes every member request and
+// tallies the replies, then settles the handoff double-writes.
+func (u *upload) finish() {
+	for m, sb := range u.spills {
+		u.flushSpill(m, sb)
+	}
+	for _, mw := range u.writers {
+		reply := mw.close()
 		switch {
 		case reply.err == nil:
-			ingested += reply.ingested
-			// Unconfirmed tail (pipe torn mid-write): whatever the
-			// member did not acknowledge counts dropped.
-			if ms.pw != nil && reply.ingested < ms.sent {
-				dropped += ms.sent - reply.ingested
-				downMember = ms.m.primary
+			u.ingested += reply.ingested
+			// Unconfirmed tail: whatever the member did not acknowledge
+			// counts dropped.
+			if !mw.failed && reply.ingested < mw.sent {
+				u.dropped += mw.sent - reply.ingested
+				u.downMember = mw.m.primary
 			}
 		case isTransport(reply.err):
-			ms.m.setErr(reply.err)
-			if !ms.m.down.Swap(true) {
-				rt.cfg.Logf("cluster: member %s down (ingest failed): %v", ms.m.primary, reply.err)
-			}
-			downMember = ms.m.primary
-			dropped += ms.sent
+			u.rt.markDown(mw.m, "ingest", reply.err)
+			u.downMember = mw.m.primary
+			u.dropped += mw.sent
 		default:
-			if hardErr == nil {
-				hardErr = reply.err
+			if u.hardErr == nil {
+				u.hardErr = reply.err
 			}
 		}
 	}
-
-	// Settle the handoff double-writes. Anything but a full confirmation
-	// fails the MIGRATION (the serving owners already confirmed the
-	// primary copies, so the client response is unaffected).
-	for g, ss := range shadowStreams {
-		if ss.pw != nil {
-			if err := ss.bw.Flush(); err == nil {
-				ss.pw.Close()
-			} else {
-				ss.pw.CloseWithError(err)
-			}
-		}
-		reply := <-ss.done
-		if reply.err != nil || ss.pw == nil || reply.ingested != ss.sent {
+	// Anything but a full confirmation of a double-write fails the
+	// MIGRATION (it rolls back), never the client request — the serving
+	// owners already confirmed the primary copies.
+	for g, sw := range u.shadows {
+		reply := sw.close()
+		if reply.err != nil || sw.failed || reply.ingested != sw.sent {
 			err := reply.err
 			if err == nil {
-				err = fmt.Errorf("confirmed %d of %d items", reply.ingested, ss.sent)
+				err = fmt.Errorf("confirmed %d of %d items", reply.ingested, sw.sent)
 			}
-			t.mig.fail(fmt.Errorf("handoff double-write to %s: %w", g.primary, err))
+			u.t.mig.fail(fmt.Errorf("handoff double-write to %s: %w", g.primary, err))
 			continue
 		}
-		for k, n := range shadowSent {
+		for k, n := range u.shadowSent {
 			if k.gainer == g {
-				t.mig.noteShadow(k.loser, k.gainer, n)
+				u.t.mig.noteShadow(k.loser, k.gainer, n)
 			}
 		}
 	}
-	if t.next != nil && (dropped > 0 || hardErr != nil) {
-		t.mig.fail(fmt.Errorf("cluster: writes lost during handoff (member %s)", downMember))
+	if u.t.next != nil && (u.dropped > 0 || u.hardErr != nil) {
+		u.t.mig.fail(fmt.Errorf("cluster: writes lost during handoff (member %s)", u.downMember))
 	}
+}
 
+// reply answers the request from the upload's tallies; acceptedKey
+// names the accepted count ("ingested" or "inserted").
+func (u *upload) reply(w http.ResponseWriter, acceptedKey string, decodeErr error) {
 	switch {
-	case hardErr != nil:
-		httpError(w, http.StatusBadGateway, "cluster: %v", hardErr)
+	case u.hardErr != nil:
+		httpError(w, http.StatusBadGateway, "cluster: %v", u.hardErr)
 	case decodeErr != nil:
-		httpError(w, http.StatusBadRequest, "line %d: %v (%d items accepted)",
-			lineNo, decodeErr, ingested)
-	case dropped > 0 || downMember != "":
-		rt.retryAfter429(w, "ingested", ingested, spilled, dropped, downMember)
+		httpError(w, http.StatusBadRequest, "%v (%d items accepted)", decodeErr, u.ingested)
+	case u.dropped > 0 || u.downMember != "":
+		u.rt.retryAfter429(w, acceptedKey, u.ingested, u.spilled, u.dropped, u.downMember)
 	default:
 		res := map[string]interface{}{
-			"mode": "cluster", "ingested": ingested, "members": len(streams)}
-		if spilled > 0 {
-			res["spilled"] = spilled
+			"mode": "cluster", acceptedKey: u.ingested, "members": len(u.writers)}
+		if u.spilled > 0 {
+			res["spilled"] = u.spilled
 		}
 		writeJSON(w, res)
 	}
+}
+
+// memberWriter is one open GSB1 /ingest request to a member — the only
+// way the router writes to a member. Records are re-framed onto a pipe
+// as they arrive, a frame closing at the batch size or at the frame
+// byte cap (stream.FrameFull, the rule BinaryBatchWriter follows), and
+// the member decodes and applies concurrently: one member round trip
+// per request, however many records flow through it.
+type memberWriter struct {
+	m      *member
+	pw     *io.PipeWriter
+	bw     *bufio.Writer
+	batch  int    // records per frame
+	hdr    []byte // frame-header scratch
+	body   []byte // records of the open frame
+	n      int    // records in the open frame
+	sent   int64  // records written to this request
+	failed bool   // a write tore the pipe; nothing more is sent
+	done   chan ingestReply
+}
+
+type ingestReply struct {
+	ingested int64
+	err      error
+}
+
+// openWriter starts the member-side /ingest request feeding from a
+// pipe. The member's reply is reported on done once it answers (or the
+// request fails).
+func (rt *Router) openWriter(ctx context.Context, m *member, batchSize int) *memberWriter {
+	// The write buffer absorbs roughly one member-side decode batch, so
+	// the router keeps streaming while the member holds its insert lock
+	// instead of stalling the connection on every batch boundary.
+	pr, pw := io.Pipe()
+	mw := &memberWriter{m: m, pw: pw, bw: bufio.NewWriterSize(pw, 64<<10),
+		batch: batchSize, done: make(chan ingestReply, 1)}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, m.primary+"/ingest", pr)
+	if err != nil {
+		// Tear the pipe too: with no request goroutine reading pr, a
+		// later write (or the final flush) would otherwise block
+		// forever.
+		pr.CloseWithError(err)
+		mw.done <- ingestReply{err: err}
+		return mw
+	}
+	req.Header.Set("Content-Type", stream.ContentTypeBinary)
+	if id := telemetry.RequestID(ctx); id != "" {
+		req.Header.Set(telemetry.HeaderRequestID, id)
+	}
+	magic := stream.BinaryMagic()
+	_, _ = mw.bw.Write(magic[:]) // buffered; a dead pipe surfaces at the first flush
+	go rt.postIngest(req, pr, m, mw.done)
+	return mw
+}
+
+// write appends one validated record, first emitting the open frame
+// when the record would not fit it.
+func (mw *memberWriter) write(rec []byte) error {
+	mw.sent++
+	if stream.FrameFull(mw.n, len(mw.body), len(rec), mw.batch) {
+		if err := mw.flushFrame(); err != nil {
+			mw.failed = true
+			return err
+		}
+	}
+	mw.body = append(mw.body, rec...)
+	mw.n++
+	return nil
+}
+
+// flushFrame emits the open frame — header plus the record bytes,
+// identical to a stream.BinaryBatchWriter frame.
+func (mw *memberWriter) flushFrame() error {
+	if mw.n == 0 {
+		return nil
+	}
+	mw.hdr = stream.AppendFrameHeader(mw.hdr[:0], mw.n, len(mw.body))
+	if _, err := mw.bw.Write(mw.hdr); err != nil {
+		return err
+	}
+	if _, err := mw.bw.Write(mw.body); err != nil {
+		return err
+	}
+	mw.body, mw.n = mw.body[:0], 0
+	return nil
+}
+
+// close ends the request — flushing the open frame unless a write
+// already failed — and waits for the member's reply.
+func (mw *memberWriter) close() ingestReply {
+	if !mw.failed {
+		err := mw.flushFrame()
+		if err == nil {
+			err = mw.bw.Flush()
+		}
+		if err == nil {
+			mw.pw.Close()
+		} else {
+			mw.pw.CloseWithError(err)
+		}
+	}
+	return <-mw.done
+}
+
+// postIngest issues one member-side /ingest request feeding from pr
+// and reports the member's reply on done.
+func (rt *Router) postIngest(req *http.Request, pr *io.PipeReader, m *member, done chan ingestReply) {
+	resp, err := rt.cfg.Client.Do(req)
+	if err != nil {
+		// Tear the pipe so the writer side stops blocking; the router
+		// counts this partition's records as unconfirmed.
+		pr.CloseWithError(err)
+		done <- ingestReply{err: transportError{err}}
+		return
+	}
+	defer resp.Body.Close()
+	var res struct {
+		Ingested int64 `json:"ingested"`
+	}
+	if resp.StatusCode != http.StatusOK {
+		slurp, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+		pr.CloseWithError(fmt.Errorf("member status %d", resp.StatusCode))
+		done <- ingestReply{err: fmt.Errorf("member %s /ingest returned %d: %s",
+			m.primary, resp.StatusCode, bytes.TrimSpace(slurp))}
+		return
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
+		done <- ingestReply{err: err}
+		return
+	}
+	done <- ingestReply{ingested: res.Ingested}
+}
+
+// post delivers a hashed batch to m as one GSB1 /ingest request and
+// returns how many items the member confirmed — the write primitive of
+// spill replay and migration copy.
+func (rt *Router) post(ctx context.Context, m *member, items []stream.HashedItem) (int64, error) {
+	mw := rt.openWriter(ctx, m, rt.cfg.BatchSize)
+	var rec []byte
+	for i := range items {
+		rec = stream.AppendHashedItem(rec[:0], items[i])
+		if mw.write(rec) != nil {
+			break
+		}
+	}
+	reply := mw.close()
+	return reply.ingested, reply.err
 }

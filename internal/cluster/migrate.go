@@ -568,7 +568,7 @@ func (rt *Router) copyPartition(mg *migration, loser *member) (uint64, int64, er
 	fencedItems, _ := strconv.ParseInt(resp.Header.Get("X-Partition-Items"), 10, 64)
 	cr := &countingReader{r: resp.Body}
 	sr := stream.NewReader(cr)
-	batches := make(map[*member][]stream.Item)
+	batches := make(map[*member][]stream.HashedItem)
 	flush := func(g *member) error {
 		if len(batches[g]) == 0 {
 			return nil
@@ -585,7 +585,7 @@ func (rt *Router) copyPartition(mg *migration, loser *member) (uint64, int64, er
 			break
 		}
 		g := mg.newOwner(it.Src)
-		batches[g] = append(batches[g], it)
+		batches[g] = append(batches[g], stream.HashItem(it))
 		mg.movedEdges.Add(1)
 		if len(batches[g]) >= rt.cfg.BatchSize {
 			if err := flush(g); err != nil {
@@ -608,8 +608,8 @@ func (rt *Router) copyPartition(mg *migration, loser *member) (uint64, int64, er
 // forwardMigrated delivers one migrated batch to a gainer and books the
 // confirmation on both ledgers. Anything but full confirmation is fatal
 // to the migration — the accounting would drift otherwise.
-func (rt *Router) forwardMigrated(mg *migration, loser, gainer *member, batch []stream.Item) error {
-	n, err := rt.forwardInsert(rt.ctx, gainer, batch)
+func (rt *Router) forwardMigrated(mg *migration, loser, gainer *member, batch []stream.HashedItem) error {
+	n, err := rt.post(rt.ctx, gainer, batch)
 	if n > 0 {
 		mg.lossFwd[loser.primary].Add(n)
 		mg.gainFwd[gainer.primary].Add(n)
@@ -695,7 +695,7 @@ func (rt *Router) relayLog(mg *migration, loser *member, from uint64, max int) (
 	if err != nil {
 		return from, 0, fmt.Errorf("log of %s: bad X-Log-End: %v", loser.primary, err)
 	}
-	batches := make(map[*member][]stream.Item)
+	batches := make(map[*member][]stream.HashedItem)
 	sr := stream.NewReader(resp.Body)
 	for {
 		it, ok := sr.Next()
@@ -706,7 +706,7 @@ func (rt *Router) relayLog(mg *migration, loser *member, from uint64, max int) (
 			continue
 		}
 		g := mg.newOwner(it.Src)
-		batches[g] = append(batches[g], it)
+		batches[g] = append(batches[g], stream.HashItem(it))
 		if len(batches[g]) >= rt.cfg.BatchSize {
 			if err := rt.forwardMigrated(mg, loser, g, batches[g]); err != nil {
 				return from, 0, err

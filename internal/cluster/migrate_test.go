@@ -295,7 +295,7 @@ func TestMembershipEndpointValidation(t *testing.T) {
 // TestClusterMigrationAddEquivalence: the headline tentpole test — a
 // 3-member cluster under a live write workload absorbs a fourth member,
 // and afterwards every observable matches the single-node oracle. The
-// joiner is deliberately slow on /insert so the copy, catch-up and
+// joiner is deliberately slow on /ingest so the copy, catch-up and
 // handoff phases genuinely overlap the concurrent writes.
 func TestClusterMigrationAddEquivalence(t *testing.T) {
 	items := equivStream(250, 1800, 53)
@@ -306,7 +306,7 @@ func TestClusterMigrationAddEquivalence(t *testing.T) {
 		Config{BatchSize: 64})
 	joiner := startFaultMember(t, server.Options{Backend: sketch.BackendConcurrent,
 		LogDir: t.TempDir(), LogSyncEvery: -1})
-	joiner.setDelay("/insert", 4*time.Millisecond)
+	joiner.setDelay("/ingest", 4*time.Millisecond)
 
 	ingestAll(t, routerURL, pre)
 
@@ -602,7 +602,7 @@ func TestClusterMigrationKillDestinationRollsBack(t *testing.T) {
 
 	joiner := startFaultMember(t, server.Options{Backend: sketch.BackendConcurrent,
 		LogDir: t.TempDir(), LogSyncEvery: -1})
-	joiner.setDelay("/insert", 10*time.Millisecond)
+	joiner.setDelay("/ingest", 10*time.Millisecond)
 
 	resp, raw := postBody(t, routerURL+"/cluster/members",
 		fmt.Sprintf(`{"url":%q}`, joiner.url), nil)
@@ -633,7 +633,7 @@ func TestClusterMigrationKillDestinationRollsBack(t *testing.T) {
 		t.Fatalf("joiner holds %d items after the rollback scrub, want 0", got)
 	}
 
-	joiner.setDelay("/insert", 0)
+	joiner.setDelay("/ingest", 0)
 	changeMembership(t, routerURL, "/cluster/members", joiner.url)
 	oracleURL := oracleOf(t, server.Options{Backend: sketch.BackendConcurrent}, items)
 	diffObservables(t, routerURL, oracleURL, items, 907)
@@ -659,7 +659,7 @@ func TestRouterRestartRollsBackMigration(t *testing.T) {
 
 	joiner := startFaultMember(t, server.Options{Backend: sketch.BackendConcurrent,
 		LogDir: t.TempDir(), LogSyncEvery: -1})
-	joiner.setDelay("/insert", 10*time.Millisecond)
+	joiner.setDelay("/ingest", 10*time.Millisecond)
 
 	resp, raw := postBody(t, ts1.URL+"/cluster/members",
 		fmt.Sprintf(`{"url":%q}`, joiner.url), nil)
@@ -675,7 +675,7 @@ func TestRouterRestartRollsBackMigration(t *testing.T) {
 		t.Fatalf("no journal after a mid-migration close: %v", err)
 	}
 
-	joiner.setDelay("/insert", 0)
+	joiner.setDelay("/ingest", 0)
 	// A delayed forward from rt1 may still be inside the joiner's
 	// handler; let it land before rt2's recovery scrubs, or it would
 	// resurrect items after the scrub.
@@ -786,7 +786,7 @@ func TestRouterCloseDuringMigration(t *testing.T) {
 		urls[i] = m.ts.URL
 	}
 	joiner := startFaultMember(t, server.Options{Backend: sketch.BackendConcurrent})
-	joiner.setDelay("/insert", 25*time.Millisecond)
+	joiner.setDelay("/ingest", 25*time.Millisecond)
 
 	rt, err := New(Config{Members: urls, AllowMembershipChanges: true,
 		BatchSize: 32, ProbeInterval: 10 * time.Millisecond,
@@ -852,7 +852,7 @@ func TestClusterStatsCoherentDuringMigration(t *testing.T) {
 
 	joiner := startFaultMember(t, server.Options{Backend: sketch.BackendConcurrent,
 		LogDir: t.TempDir(), LogSyncEvery: -1})
-	joiner.setDelay("/insert", 10*time.Millisecond)
+	joiner.setDelay("/ingest", 10*time.Millisecond)
 	newList := append(append([]string(nil), urls...), joiner.url)
 
 	resp, raw := postBody(t, routerURL+"/cluster/members",

@@ -89,31 +89,14 @@ func openSpill(dir, memberURL string, maxBytes int64, logf func(string, ...inter
 	return &spill{log: l, max: maxBytes, pos: l.OldestSeq()}, nil
 }
 
-// append absorbs one batch, refusing it when the log is at budget.
-// The budget check is against bytes already on disk, so one batch may
-// overshoot the cap slightly; the next one is refused.
-func (sp *spill) append(items []stream.Item) error {
-	if len(items) == 0 {
-		return nil
-	}
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if sp.log.Stats().SizeBytes >= sp.max {
-		return errSpillFull
-	}
-	if _, _, err := sp.log.Append(items); err != nil {
-		return err
-	}
-	sp.spilledItems.Add(int64(len(items)))
-	return nil
-}
-
-// appendEncoded absorbs one batch of already-encoded GSS1 payloads —
-// the binary ingest plane's spill path: a down partition's records go
-// from the wire to the spill log without a decode/re-encode round
-// trip, and come back out of oplog.ReadFrom as the same items the
-// NDJSON path would have spilled. Budget semantics match append.
-func (sp *spill) appendEncoded(payloads [][]byte) error {
+// append absorbs one batch of GSS1 item payloads — the tails of the
+// GSB1 records the router routes (stream.HashedRecordPayload), so a
+// down partition's records go to the spill log with no re-encode, in
+// the same record format older spill logs hold. It refuses the batch
+// when the log is at budget; the check is against bytes already on
+// disk, so one batch may overshoot the cap slightly and the next one
+// is refused.
+func (sp *spill) append(payloads [][]byte) error {
 	if len(payloads) == 0 {
 		return nil
 	}
@@ -217,18 +200,19 @@ func (rt *Router) replaySpill(m *member) {
 			}
 			return
 		}
+		// Spilled payloads keep no hashes; each item is hashed once
+		// here, on its way back in.
 		t := rt.topology()
-		groups := make(map[*member][]stream.Item)
+		groups := make(map[*member][]stream.HashedItem)
 		for _, it := range batch {
-			groups[t.owner(it.Src)] = append(groups[t.owner(it.Src)], it)
+			h := stream.HashItem(it)
+			g := t.ownerHash(h.HSrc)
+			groups[g] = append(groups[g], h)
 		}
 		for target, group := range groups {
-			if _, err := rt.forwardInsert(rt.ctx, target, group); err != nil {
+			if _, err := rt.post(rt.ctx, target, group); err != nil {
 				if isTransport(err) && rt.ctx.Err() == nil {
-					target.setErr(err)
-					if !target.down.Swap(true) {
-						rt.cfg.Logf("cluster: member %s down (spill replay failed): %v", target.primary, err)
-					}
+					rt.markDown(target, "spill replay", err)
 				}
 				return
 			}

@@ -361,6 +361,15 @@ func (l *Log) Append(items []stream.Item) (first, next uint64, err error) {
 	})
 }
 
+// AppendHashed is Append for a hashed batch: the records hold the
+// plain items (the hashes are derived, not logged), encoded straight
+// from the batch with no intermediate []stream.Item copy.
+func (l *Log) AppendHashed(items []stream.HashedItem) (first, next uint64, err error) {
+	return l.appendPayloads(len(items), func(i int, buf []byte) []byte {
+		return stream.AppendItem(buf, items[i].Item)
+	})
+}
+
 // AppendEncoded writes one record per already-encoded item payload —
 // the bytes a stream.AppendItem call would have produced, as carried
 // verbatim inside binary ingest frames. It is byte-identical on disk

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"net/http"
 	"strconv"
 	"sync"
@@ -10,21 +11,13 @@ import (
 	"repro/internal/stream"
 )
 
-// ingestJob is one batch on its way to the sketch, on either ingest
-// plane. String-plane jobs carry items; binary-plane jobs carry the
-// pre-hashed batch plus (when no arrival stamping rewrote the times)
-// the encoded payload views the operation log can append verbatim.
+// ingestJob is one hashed batch on its way to the sketch, from any
+// front door. A GSB1 batch whose times no arrival stamping rewrote
+// also carries the encoded payload views the operation log can append
+// verbatim; every other job logs by encoding the batch itself.
 type ingestJob struct {
-	items    []stream.Item
 	hashed   []stream.HashedItem
 	payloads [][]byte
-}
-
-func (j ingestJob) len() int {
-	if j.hashed != nil {
-		return len(j.hashed)
-	}
-	return len(j.items)
 }
 
 // pipeline is the bounded async ingest path: request handlers decode
@@ -65,7 +58,7 @@ func (p *pipeline) worker() {
 		start := time.Now()
 		p.apply(job)
 		p.applyNanos.Add(time.Since(start).Nanoseconds())
-		p.processedItems.Add(int64(job.len()))
+		p.processedItems.Add(int64(len(job.hashed)))
 		p.processedBatches.Add(1)
 	}
 }
@@ -107,11 +100,11 @@ func drainEstimateSecs(depth int, batches, nanos int64, workers int) int {
 func (p *pipeline) tryEnqueue(job ingestJob) bool {
 	select {
 	case p.queue <- job:
-		p.enqueuedItems.Add(int64(job.len()))
+		p.enqueuedItems.Add(int64(len(job.hashed)))
 		p.enqueuedBatches.Add(1)
 		return true
 	default:
-		p.droppedItems.Add(int64(job.len()))
+		p.droppedItems.Add(int64(len(job.hashed)))
 		p.droppedBatches.Add(1)
 		return false
 	}
@@ -180,10 +173,13 @@ const maxIngestBatch = 1 << 16
 
 // handleIngest is the bulk-ingest endpoint. Content-Type selects the
 // plane: NDJSON (default) is decoded in batches of ?batch=N items
-// (default Options.BatchSize) so the request streams; the binary
-// content type (application/x-gss-batch) carries framed pre-hashed
-// batches that skip identifier re-hashing entirely. Unknown content
-// types answer 415.
+// (default Options.BatchSize) so the request streams, and each batch is
+// hashed once right after decoding; the binary content type
+// (application/x-gss-batch) carries framed batches whose hashes the
+// producer already computed, and on logging primaries their payload
+// bytes go to the operation log verbatim — no decode, no re-encode.
+// From there both planes are one loop: stamp, then apply or enqueue.
+// Unknown content types answer 415.
 //
 // Sync mode (default) inserts each batch before reading the next and
 // replies 200 once the whole body is ingested. Async mode (?async=1)
@@ -225,44 +221,82 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "async must be 0 or 1")
 		return
 	}
-	if binary {
-		s.ingestBinary(w, r, async, pm)
-		return
-	}
 
-	dec := stream.NewBatchDecoder(&countingReader{r: r.Body, c: pm.bytes}, batchSize)
-	// The sync path inserts each batch before decoding the next, so the
-	// decoder can recycle one batch slice for the whole request. Async
-	// batches are retained by the worker queue and must stay fresh.
-	if !async {
+	// next yields the body's batches; decodeErr names where the body
+	// went bad. The sync path applies each batch before decoding the
+	// next, so it recycles one batch buffer for the whole request;
+	// async batches are retained by the worker queue and must be fresh.
+	body := &countingReader{r: r.Body, c: pm.bytes}
+	var next func() ([]stream.HashedItem, [][]byte)
+	var decodeErr func() error
+	if binary {
+		dec := stream.NewBinaryBatchDecoder(body)
+		dec.SetReuse(!async)
+		next = func() ([]stream.HashedItem, [][]byte) {
+			batch := dec.Next()
+			return batch, dec.Payloads()
+		}
+		decodeErr = func() error {
+			if err := dec.Err(); err != nil {
+				// A bad frame is rejected atomically.
+				return fmt.Errorf("frame %d: %v", dec.Frames()+1, err)
+			}
+			return nil
+		}
+	} else {
+		// The decoded items are copied into the hashed batch at once,
+		// so the item buffer is always recycled.
+		dec := stream.NewBatchDecoder(body, batchSize)
 		dec.SetReuse(true)
+		var scratch []stream.HashedItem
+		next = func() ([]stream.HashedItem, [][]byte) {
+			items := dec.Next()
+			if items == nil {
+				return nil, nil
+			}
+			if async {
+				scratch = make([]stream.HashedItem, 0, len(items))
+			}
+			scratch = stream.HashItems(items, scratch[:0])
+			return scratch, nil
+		}
+		decodeErr = func() error {
+			if err := dec.Err(); err != nil {
+				return fmt.Errorf("line %d: %v", dec.Line(), err)
+			}
+			return nil
+		}
 	}
 	var items int64
 	var batches int64
 	for {
-		batch := dec.Next()
+		batch, payloads := next()
 		if batch == nil {
 			break
 		}
-		s.stampArrival(batch)
+		if s.stampArrival(batch) {
+			// The payload views still encode Time 0; dropping them makes
+			// the applier encode the stamped items for the log.
+			payloads = nil
+		}
+		job := ingestJob{hashed: batch, payloads: payloads}
 		if async {
-			if !s.enqueueOr429(w, ingestJob{items: batch}, items, pm) {
+			if !s.enqueueOr429(w, job, items, pm) {
 				return
 			}
 		} else {
-			s.applyBatch(batch)
+			s.apply(job)
 		}
 		items += int64(len(batch))
 		batches++
 		pm.items.Add(int64(len(batch)))
 		pm.batches.Inc()
 	}
-	if err := dec.Err(); err != nil {
-		// Everything before the bad line was already ingested or
-		// enqueued; report how far we got.
+	if err := decodeErr(); err != nil {
+		// Everything before the bad line or frame was already ingested
+		// or enqueued; report how far we got.
 		pm.decodeErrors.Inc()
-		httpError(w, http.StatusBadRequest, "line %d: %v (%d items accepted)",
-			dec.Line(), err, items)
+		httpError(w, http.StatusBadRequest, "%v (%d items accepted)", err, items)
 		return
 	}
 	if async {
@@ -290,65 +324,9 @@ func (s *Server) enqueueOr429(w http.ResponseWriter, job ingestJob, accepted int
 	writeBody(w, map[string]interface{}{
 		"error":    "ingest queue full",
 		"enqueued": accepted,
-		"dropped":  int64(job.len()),
+		"dropped":  int64(len(job.hashed)),
 	})
 	return false
-}
-
-// ingestBinary drains a GSB1 body frame by frame. Each frame arrives
-// pre-hashed, so the sketch never touches the identifier strings
-// again, and on logging primaries the untouched frames' payload bytes
-// go to the operation log verbatim — no decode, no re-encode. Only a
-// frame whose items needed arrival stamping loses that shortcut: its
-// encoded times went stale, so the log takes the re-encoding path.
-func (s *Server) ingestBinary(w http.ResponseWriter, r *http.Request, async bool, pm *planeStats) {
-	dec := stream.NewBinaryBatchDecoder(&countingReader{r: r.Body, c: pm.bytes})
-	// Mirror the NDJSON reuse discipline: the sync path recycles one
-	// frame buffer; async jobs are retained by the queue.
-	if !async {
-		dec.SetReuse(true)
-	}
-	var items int64
-	var batches int64
-	for {
-		batch := dec.Next()
-		if batch == nil {
-			break
-		}
-		payloads := dec.Payloads()
-		if s.stampArrivalHashed(batch) {
-			// The payload views still encode Time 0; dropping them makes
-			// the applier re-encode the stamped items for the log.
-			payloads = nil
-		}
-		job := ingestJob{hashed: batch, payloads: payloads}
-		if async {
-			if !s.enqueueOr429(w, job, items, pm) {
-				return
-			}
-		} else {
-			s.applyHashedBatch(job)
-		}
-		items += int64(len(batch))
-		batches++
-		pm.items.Add(int64(len(batch)))
-		pm.batches.Inc()
-	}
-	if err := dec.Err(); err != nil {
-		// Whole frames before the bad one were already ingested or
-		// enqueued; a bad frame is rejected atomically.
-		pm.decodeErrors.Inc()
-		httpError(w, http.StatusBadRequest, "frame %d: %v (%d items accepted)",
-			dec.Frames()+1, err, items)
-		return
-	}
-	if async {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusAccepted)
-		writeBody(w, map[string]interface{}{"mode": "async", "enqueued": items, "batches": batches})
-		return
-	}
-	writeJSON(w, map[string]interface{}{"mode": "sync", "ingested": items, "batches": batches})
 }
 
 func (s *Server) handleIngestStats(w http.ResponseWriter, r *http.Request) {

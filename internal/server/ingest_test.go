@@ -142,19 +142,19 @@ func TestIngestBatchParamAndErrors(t *testing.T) {
 	}
 }
 
-// blockingSketch wraps a Sketch, parking every InsertBatch until
-// released — a deterministic stand-in for slow ingestion so the async
-// queue can be filled at will.
+// blockingSketch wraps a Sketch, parking every InsertHashedBatch (the
+// server's one write entry) until released — a deterministic stand-in
+// for slow ingestion so the async queue can be filled at will.
 type blockingSketch struct {
 	sketch.Sketch
-	entered chan struct{} // signaled when a worker enters InsertBatch
+	entered chan struct{} // signaled when a worker enters InsertHashedBatch
 	release chan struct{} // closed to let workers proceed
 }
 
-func (b *blockingSketch) InsertBatch(items []stream.Item) {
+func (b *blockingSketch) InsertHashedBatch(items []stream.HashedItem) {
 	b.entered <- struct{}{}
 	<-b.release
-	b.Sketch.InsertBatch(items)
+	b.Sketch.InsertHashedBatch(items)
 }
 
 func TestIngestAsyncBackpressure429(t *testing.T) {
@@ -181,7 +181,7 @@ func TestIngestAsyncBackpressure429(t *testing.T) {
 	if resp1.StatusCode != http.StatusAccepted {
 		t.Fatalf("first async ingest status %d, want 202", resp1.StatusCode)
 	}
-	<-blocking.entered // worker is now parked inside InsertBatch
+	<-blocking.entered // worker is now parked inside InsertHashedBatch
 
 	resp2 := postBatch("b") // sits in the queue
 	resp2.Body.Close()

@@ -297,62 +297,40 @@ func (s *Server) pipeline() *pipeline {
 	s.pipeMu.Lock()
 	defer s.pipeMu.Unlock()
 	if s.pipe == nil {
-		s.pipe = newPipeline(s.applyJob, s.opt.QueueDepth, s.opt.Workers)
+		s.pipe = newPipeline(s.apply, s.opt.QueueDepth, s.opt.Workers)
 	}
 	return s.pipe
 }
 
-// applyBatch is the single write path behind every ingest route: on a
-// logging primary the batch is appended to the operation log before it
-// is inserted (and thus before the request is acknowledged), under the
-// shared side of applyMu so checkpoints capture a consistent
-// (snapshot, log sequence) pair. A log append failure is logged and
-// the insert still happens — availability over replayability — but the
-// torn batch was rolled back, so the log stays internally consistent.
-func (s *Server) applyBatch(items []stream.Item) {
-	if s.olog == nil {
-		s.sk.InsertBatch(items)
-		return
-	}
-	s.applyMu.RLock()
-	defer s.applyMu.RUnlock()
-	if _, _, err := s.olog.Append(items); err != nil {
-		s.opt.Logf("server: oplog append: %v", err)
-	}
-	s.sk.InsertBatch(items)
-}
-
-// applyJob dispatches a pipeline job to its plane's applier.
-func (s *Server) applyJob(job ingestJob) {
-	if job.hashed != nil {
-		s.applyHashedBatch(job)
-		return
-	}
-	s.applyBatch(job.items)
-}
-
-// applyHashedBatch is applyBatch for the binary plane. When the job
-// still carries its wire payload views, the log append is a straight
-// byte copy (oplog.AppendEncoded); a stamped batch lost that shortcut
-// and re-encodes. Either way the log holds identical bytes to what the
-// string plane would have written, so replay and follower tailing see
-// one log format — and since both planes insert in arrival order,
-// replay rebuilds the sketch exactly.
-func (s *Server) applyHashedBatch(job ingestJob) {
+// apply is the single write path behind every ingest route, fed only
+// hashed batches: every front door hashes right after decoding (or
+// takes the hashes a GSB1 producer carried). On a logging primary the
+// batch is appended to the operation log before it is inserted (and
+// thus before the request is acknowledged), under the shared side of
+// applyMu so checkpoints capture a consistent (snapshot, log sequence)
+// pair. A job that still carries its wire payload views is logged as a
+// straight byte copy (oplog.AppendEncoded); any other job is encoded
+// from the batch itself. Either way the log holds the same bytes, so
+// replay and follower tailing see one log format — and since every
+// plane inserts in arrival order, replay rebuilds the sketch exactly.
+// A log append failure is logged and the insert still happens —
+// availability over replayability — but the torn batch was rolled
+// back, so the log stays internally consistent.
+func (s *Server) apply(job ingestJob) {
 	if s.olog == nil {
 		s.sk.InsertHashedBatch(job.hashed)
 		return
 	}
 	s.applyMu.RLock()
 	defer s.applyMu.RUnlock()
+	var err error
 	if job.payloads != nil {
-		if _, _, err := s.olog.AppendEncoded(job.payloads); err != nil {
-			s.opt.Logf("server: oplog append: %v", err)
-		}
+		_, _, err = s.olog.AppendEncoded(job.payloads)
 	} else {
-		if _, _, err := s.olog.Append(stream.StripHashed(job.hashed, nil)); err != nil {
-			s.opt.Logf("server: oplog append: %v", err)
-		}
+		_, _, err = s.olog.AppendHashed(job.hashed)
+	}
+	if err != nil {
+		s.opt.Logf("server: oplog append: %v", err)
 	}
 	s.sk.InsertHashedBatch(job.hashed)
 }
@@ -391,15 +369,6 @@ func (s *Server) Close() {
 			s.opt.Logf("server: closing oplog: %v", err)
 		}
 	}
-}
-
-// Item is the JSON wire form of a stream item.
-type Item struct {
-	Src    string `json:"src"`
-	Dst    string `json:"dst"`
-	Weight int64  `json:"weight"`
-	Time   int64  `json:"time,omitempty"`
-	Label  uint32 `json:"label,omitempty"`
 }
 
 // Handler returns the HTTP handler for the API. Every route goes
@@ -461,6 +430,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// handleInsert applies one item object or an array of them — the
+// small-batch write route. The body is capped at stream.MaxInsertBytes
+// (413 past it) and decoded by stream.DecodeInsert, the decoder the
+// cluster router shares.
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	if s.rejectFollowerWrite(w) {
 		return
@@ -469,46 +442,25 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	dec := json.NewDecoder(r.Body)
-	var batch []Item
-	// Accept a single object or an array.
-	tok, err := dec.Token()
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, stream.MaxInsertBytes))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad JSON: %v", err)
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			httpError(w, http.StatusRequestEntityTooLarge,
+				"body exceeds %d bytes; stream bulk uploads through /ingest", stream.MaxInsertBytes)
+			return
+		}
+		httpError(w, http.StatusBadRequest, "reading body: %v", err)
 		return
 	}
-	if delim, ok := tok.(json.Delim); ok && delim == '[' {
-		for dec.More() {
-			it := Item{Weight: 1} // omitted weight means one observation
-			if err := dec.Decode(&it); err != nil {
-				httpError(w, http.StatusBadRequest, "bad item: %v", err)
-				return
-			}
-			batch = append(batch, it)
-		}
-	} else {
-		// Re-decode the single object: simplest is to re-read from the
-		// token stream by hand.
-		it := Item{Weight: 1}
-		if err := decodeObjectAfterBrace(dec, tok, &it); err != nil {
-			httpError(w, http.StatusBadRequest, "bad item: %v", err)
-			return
-		}
-		batch = append(batch, it)
+	items, err := stream.DecodeInsert(body)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
-	for _, it := range batch {
-		if it.Src == "" || it.Dst == "" {
-			httpError(w, http.StatusBadRequest, "src and dst are required")
-			return
-		}
-	}
-	items := make([]stream.Item, len(batch))
-	for i, it := range batch {
-		items[i] = stream.Item{Src: it.Src, Dst: it.Dst, Weight: it.Weight,
-			Time: it.Time, Label: it.Label}
-	}
-	s.stampArrival(items)
-	s.applyBatch(items)
+	batch := stream.HashItems(items, make([]stream.HashedItem, 0, len(items)))
+	s.stampArrival(batch)
+	s.apply(ingestJob{hashed: batch})
 	writeJSON(w, map[string]int{"inserted": len(batch)})
 }
 
@@ -518,26 +470,11 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 // every item timed to rotate generations; whole-stream backends ignore
 // the field. Every ingest path — /insert, sync and async /ingest —
 // stamps before handing items to the sketch, so the async worker pool
-// sees arrival times, not enqueue-drain times.
-func (s *Server) stampArrival(items []stream.Item) {
-	var now int64
-	stamped := false
-	for i := range items {
-		if items[i].Time != 0 {
-			continue
-		}
-		if !stamped {
-			now, stamped = s.opt.Now(), true
-		}
-		items[i].Time = now
-	}
-}
-
-// stampArrivalHashed is stampArrival for pre-hashed batches (the
-// hashes do not cover the timestamp, so stamping is safe). It reports
-// whether anything was stamped — the signal that the batch's wire
-// payload bytes went stale for logging.
-func (s *Server) stampArrivalHashed(items []stream.HashedItem) bool {
+// sees arrival times, not enqueue-drain times. The hashes do not cover
+// the timestamp, so stamping a hashed batch is safe; the return value
+// reports whether anything was stamped — the signal that the batch's
+// wire payload bytes went stale for logging.
+func (s *Server) stampArrival(items []stream.HashedItem) bool {
 	var now int64
 	stamped := false
 	for i := range items {
@@ -550,50 +487,6 @@ func (s *Server) stampArrivalHashed(items []stream.HashedItem) bool {
 		items[i].Time = now
 	}
 	return stamped
-}
-
-// decodeObjectAfterBrace finishes decoding a JSON object whose opening
-// '{' token has already been consumed.
-func decodeObjectAfterBrace(dec *json.Decoder, open json.Token, it *Item) error {
-	if delim, ok := open.(json.Delim); !ok || delim != '{' {
-		return fmt.Errorf("expected object or array, got %v", open)
-	}
-	for dec.More() {
-		keyTok, err := dec.Token()
-		if err != nil {
-			return err
-		}
-		key, _ := keyTok.(string)
-		switch key {
-		case "src":
-			if err := dec.Decode(&it.Src); err != nil {
-				return err
-			}
-		case "dst":
-			if err := dec.Decode(&it.Dst); err != nil {
-				return err
-			}
-		case "weight":
-			if err := dec.Decode(&it.Weight); err != nil {
-				return err
-			}
-		case "time":
-			if err := dec.Decode(&it.Time); err != nil {
-				return err
-			}
-		case "label":
-			if err := dec.Decode(&it.Label); err != nil {
-				return err
-			}
-		default:
-			var skip json.RawMessage
-			if err := dec.Decode(&skip); err != nil {
-				return err
-			}
-		}
-	}
-	_, err := dec.Token() // closing brace
-	return err
 }
 
 func (s *Server) handleEdge(w http.ResponseWriter, r *http.Request) {

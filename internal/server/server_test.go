@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/gss"
+	"repro/internal/stream"
 )
 
 func newTestServer(t *testing.T) (*Server, *httptest.Server) {
@@ -288,5 +289,29 @@ func TestNodeIn(t *testing.T) {
 	defer r.Body.Close()
 	if r.StatusCode != http.StatusBadRequest {
 		t.Fatalf("missing v: status %d, want 400", r.StatusCode)
+	}
+}
+
+// TestInsertBodyTooLarge: /insert reads at most stream.MaxInsertBytes
+// (the bound the cluster router shares) and answers 413 past it,
+// instead of accumulating an unbounded item slice.
+func TestInsertBodyTooLarge(t *testing.T) {
+	s, ts := newTestServer(t)
+	item := `{"src":"a","dst":"b"}`
+	fits := "[" + item + strings.Repeat(" ", stream.MaxInsertBytes-len(item)-2) + "]"
+	resp := post(t, ts.URL+"/insert", fits)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("body of exactly the cap: status %d, want 200", resp.StatusCode)
+	}
+	over := "[" + item + strings.Repeat(" ", stream.MaxInsertBytes-len(item)-1) + "]"
+	resp = post(t, ts.URL+"/insert", over)
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("body one byte past the cap: status %d (%s), want 413", resp.StatusCode, raw)
+	}
+	if got := s.Sketch().Stats().Items; got != 1 {
+		t.Fatalf("sketch holds %d items after the refused body, want 1", got)
 	}
 }

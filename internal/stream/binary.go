@@ -187,6 +187,26 @@ func ScanHashedRecord(b []byte) (hsrc uint64, n int, err error) {
 	return hsrc, pos, nil
 }
 
+// maxFrameRecordBytes is the records share of a frame body: the body
+// also holds the record-count varint, at most 3 bytes for a count up
+// to maxFrameItems.
+const maxFrameRecordBytes = maxFrameBytes - 3
+
+// FrameFull is the one frame-cut rule every GSB1 frame writer shares
+// (BinaryBatchWriter, the cluster router's member frames): a frame
+// holding count records in recordsLen bytes must be emitted before a
+// recLen-byte record joins it once it holds maxCount records (at most
+// the decoders' maxFrameItems) or the record would push its body past
+// the decoders' maxFrameBytes. An empty frame takes any record: one
+// record is at most two maxIDLen strings plus a few varints, far below
+// the byte cap.
+func FrameFull(count, recordsLen, recLen, maxCount int) bool {
+	if maxCount < 1 || maxCount > maxFrameItems {
+		maxCount = maxFrameItems
+	}
+	return count > 0 && (count >= maxCount || recordsLen+recLen > maxFrameRecordBytes)
+}
+
 // AppendFrameHeader appends a GSB1 frame header — the frame length and
 // the record count — for a body holding count records in recordsLen
 // bytes. Callers that assemble frames from already-encoded records
@@ -221,14 +241,9 @@ func NewBinaryBatchWriter(w io.Writer) *BinaryBatchWriter {
 // caps). An empty batch writes nothing.
 func (bw *BinaryBatchWriter) WriteBatch(items []HashedItem) error {
 	for i := range items {
-		bw.rec = AppendHashedItem(bw.rec[:0], items[i])
-		if bw.count > 0 && (bw.count >= maxFrameItems || len(bw.body)+len(bw.rec) > maxFrameBytes) {
-			if err := bw.flushFrame(); err != nil {
-				return err
-			}
+		if err := bw.add(items[i]); err != nil {
+			return err
 		}
-		bw.body = append(bw.body, bw.rec...)
-		bw.count++
 	}
 	return bw.flushFrame()
 }
@@ -237,16 +252,25 @@ func (bw *BinaryBatchWriter) WriteBatch(items []HashedItem) error {
 // convenience path for producers starting from plain items.
 func (bw *BinaryBatchWriter) WriteItems(items []Item) error {
 	for i := range items {
-		bw.rec = AppendHashedItem(bw.rec[:0], HashItem(items[i]))
-		if bw.count > 0 && (bw.count >= maxFrameItems || len(bw.body)+len(bw.rec) > maxFrameBytes) {
-			if err := bw.flushFrame(); err != nil {
-				return err
-			}
+		if err := bw.add(HashItem(items[i])); err != nil {
+			return err
 		}
-		bw.body = append(bw.body, bw.rec...)
-		bw.count++
 	}
 	return bw.flushFrame()
+}
+
+// add appends one record to the open frame, first emitting the frame
+// if the record would not fit.
+func (bw *BinaryBatchWriter) add(it HashedItem) error {
+	bw.rec = AppendHashedItem(bw.rec[:0], it)
+	if FrameFull(bw.count, len(bw.body), len(bw.rec), maxFrameItems) {
+		if err := bw.flushFrame(); err != nil {
+			return err
+		}
+	}
+	bw.body = append(bw.body, bw.rec...)
+	bw.count++
+	return nil
 }
 
 func (bw *BinaryBatchWriter) flushFrame() error {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/hashing"
@@ -390,5 +391,35 @@ func binaryFuzzSeeds() [][]byte {
 		append([]byte{}, two[:11]...), // cut mid-record
 		forgedFPs,                     // corrupt tail byte
 		binary.AppendUvarint(append([]byte{}, batchMagic[:]...), maxFrameBytes+7), // forged frame length
+	}
+}
+
+// TestBinaryWriterFrameAtByteCap: a batch whose records add up to
+// exactly the frame byte cap still decodes — the frame body also holds
+// the record-count varint, so the writer cuts before the records alone
+// reach the cap.
+func TestBinaryWriterFrameAtByteCap(t *testing.T) {
+	// 8 records of exactly 1 MiB each: 20-byte hash prefix, 3-byte
+	// length varint + src, then dst "d" and three 1-byte varints.
+	const recLen = 1 << 20
+	src := strings.Repeat("s", recLen-28)
+	items := make([]Item, maxFrameBytes/recLen)
+	for i := range items {
+		items[i] = Item{Src: src, Dst: "d", Weight: 1}
+	}
+	if n := len(AppendHashedItem(nil, HashItem(items[0]))); n != recLen {
+		t.Fatalf("record is %d bytes, want %d", n, recLen)
+	}
+	var buf bytes.Buffer
+	bw := NewBinaryBatchWriter(&buf)
+	if err := bw.WriteItems(items); err != nil {
+		t.Fatal(err)
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadAllBinary(&buf)
+	if err != nil || len(got) != len(items) {
+		t.Fatalf("decoded %d of %d items: %v", len(got), len(items), err)
 	}
 }

@@ -126,7 +126,7 @@ func FuzzReadText(f *testing.F) {
 // test run; GSS_GEN_CORPUS=1 regenerates them.
 func TestGenerateStreamFuzzCorpus(t *testing.T) {
 	if os.Getenv("GSS_GEN_CORPUS") == "" {
-		for _, sub := range []string{"FuzzNDJSONDecode", "FuzzBinaryBatchDecode"} {
+		for _, sub := range []string{"FuzzNDJSONDecode", "FuzzBinaryBatchDecode", "FuzzScanItemLine", "FuzzDecodeInsert"} {
 			dir := filepath.Join("testdata", "fuzz", sub)
 			entries, err := os.ReadDir(dir)
 			if err != nil || len(entries) == 0 {
@@ -138,19 +138,20 @@ func TestGenerateStreamFuzzCorpus(t *testing.T) {
 	for sub, seeds := range map[string][][]byte{
 		"FuzzBinaryBatchDecode": binaryFuzzSeeds(),
 		"FuzzNDJSONDecode":      ndjsonSeeds,
+		"FuzzDecodeInsert":      insertSeeds,
 		"FuzzReadText": {
 			[]byte("a b\n"),
 			[]byte("# c\na\tb\t5\t9\t2\n"),
 			[]byte("a b 1 2 3 extra\n"),
 		},
-		"FuzzScanItemLine": {
+		"FuzzScanItemLine": append([][]byte{
 			[]byte(`{"src":"a","dst":"b"}`),
 			[]byte(`{"src":"a","dst":"b","weight":5,"time":9,"label":2}`),
 			[]byte(`{"src":"a","dst":"b","SRC":"z"}`),
 			[]byte(`{"src":"a","dst":"b","weight":01}`),
 			[]byte(`{"src":"a","dst":"b","x":{"y":[true,null,1.5]}}`),
 			[]byte(`{"src":"é","dst":"b"}`),
-		},
+		}, scanSeeds[3:]...),
 	} {
 		d := filepath.Join("testdata", "fuzz", sub)
 		if err := os.MkdirAll(d, 0o755); err != nil {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 )
@@ -14,12 +15,13 @@ import (
 // "label" default to 0. Blank lines are skipped, so files can carry
 // visual spacing and a trailing newline. NDJSON is the bulk-ingest
 // wire form: a producer streams lines, the server decodes them into
-// batches and inserts each batch under amortized locking.
+// batches (each line through DecodeItemLine), hashes each batch once
+// and inserts it under amortized locking.
 
 // wireItem is Item under the wire field names. Its underlying struct is
 // identical to Item's (field names, types and order — only the tags
-// differ), so a *Item converts directly to *wireItem and the decoder
-// unmarshals into the batch slot in place, with no intermediate copy.
+// differ), so a *Item converts directly to *wireItem and the reference
+// decode unmarshals into the item in place, with no intermediate copy.
 type wireItem struct {
 	Src    string `json:"src"`
 	Dst    string `json:"dst"`
@@ -93,23 +95,15 @@ func (d *BatchDecoder) Next() []Item {
 		if len(line) == 0 {
 			continue
 		}
-		if batch == nil {
-			batch = make([]Item, 0, d.batchSize)
-		}
-		// Decode straight into the batch slot: omitted weight means one
-		// observation, and a failed line is truncated back off.
-		batch = append(batch, Item{Weight: 1})
-		slot := (*wireItem)(&batch[len(batch)-1])
-		if err := json.Unmarshal(line, slot); err != nil {
-			batch = batch[:len(batch)-1]
+		it, err := DecodeItemLine(line)
+		if err != nil {
 			d.err = fmt.Errorf("stream: ndjson line %d: %w", d.line, err)
 			break
 		}
-		if slot.Src == "" || slot.Dst == "" {
-			batch = batch[:len(batch)-1]
-			d.err = fmt.Errorf("stream: ndjson line %d: src and dst are required", d.line)
-			break
+		if batch == nil {
+			batch = make([]Item, 0, d.batchSize)
 		}
+		batch = append(batch, it)
 	}
 	d.items += int64(len(batch))
 	if d.reuse {
@@ -143,6 +137,61 @@ func EncodeNDJSON(w io.Writer, items []Item) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// MaxInsertBytes bounds one /insert body on every front door (server
+// and cluster router); a longer body answers 413. /insert is the
+// small-batch route — bulk uploads stream through /ingest, whose cost
+// is bounded per line and per batch instead.
+const MaxInsertBytes = 8 << 20
+
+// DecodeInsert decodes an /insert body: one item object, or an array
+// of them. Each item decodes exactly like an NDJSON line
+// (DecodeItemLine — same grammar, defaults and required endpoints),
+// and anything but whitespace after the value is an error. Shared by
+// the server and the cluster router, so both answer every body alike.
+func DecodeInsert(body []byte) ([]Item, error) {
+	body = body[skipWS(body, 0):]
+	for len(body) > 0 && isJSONSpace(body[len(body)-1]) {
+		body = body[:len(body)-1]
+	}
+	if len(body) == 0 {
+		return nil, errors.New("empty body: want an item object or an array of them")
+	}
+	switch body[0] {
+	case '{':
+		it, err := DecodeItemLine(body)
+		if err != nil {
+			return nil, fmt.Errorf("bad item: %w", err)
+		}
+		return []Item{it}, nil
+	case '[':
+	default:
+		return nil, errors.New("want an item object or an array of them")
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
+	if _, err := dec.Token(); err != nil { // the '['
+		return nil, fmt.Errorf("bad JSON: %w", err)
+	}
+	var items []Item
+	for dec.More() {
+		var raw json.RawMessage
+		if err := dec.Decode(&raw); err != nil {
+			return nil, fmt.Errorf("bad item %d: %w", len(items)+1, err)
+		}
+		it, err := DecodeItemLine(raw)
+		if err != nil {
+			return nil, fmt.Errorf("bad item %d: %w", len(items)+1, err)
+		}
+		items = append(items, it)
+	}
+	if _, err := dec.Token(); err != nil { // the ']'
+		return nil, fmt.Errorf("bad JSON: %w", err)
+	}
+	if dec.InputOffset() != int64(len(body)) {
+		return nil, errors.New("bad JSON: data after the array")
+	}
+	return items, nil
 }
 
 // DecodeNDJSON reads the whole NDJSON stream from r in batches of

@@ -8,58 +8,69 @@ import (
 	"io"
 )
 
-// Routing scan: the cluster router forwards NDJSON lines to partition
-// members verbatim, so the only decode work it fundamentally owes per
-// item is "which source node is this?" plus enough validation that a
-// member will not choke mid-stream on a line the router vouched for.
-// ScanItemLine answers exactly that: a single left-to-right pass over
-// the line that extracts src and dst and structurally validates the
-// rest, falling back to the full reference decode whenever the fast
-// scan cannot PROVE the reference would accept the line with the same
-// endpoints. The fast path is therefore sound by construction — it
-// only ever accepts a subset of what the reference accepts — and the
-// differential fuzz target (FuzzScanItemLine) pins the two together.
+// The NDJSON line decoder. Every NDJSON line any front door accepts —
+// a server's /ingest, the cluster router's /ingest, each element of an
+// /insert body — goes through DecodeItemLine, so the accepted grammar,
+// the defaults and the required fields cannot drift between them.
+// DecodeItemLine is a single left-to-right scan that walks and
+// validates every field and builds the whole Item from the bytes it
+// proved; whenever the scan cannot PROVE that encoding/json would
+// decode the line to exactly that item, it falls back to the
+// json.Unmarshal reference. The fast path is therefore sound by
+// construction — it only ever accepts a subset of what the reference
+// accepts, with the same result — and the differential fuzz target
+// (FuzzScanItemLine) pins the two together.
 
-// ErrMissingEndpoints mirrors the batch decoder's contract: an item
-// without both endpoints is not routable.
-var ErrMissingEndpoints = errors.New("stream: src and dst are required")
+// ErrMissingEndpoints mirrors the wire contract: an item without both
+// endpoints is rejected.
+var ErrMissingEndpoints = errors.New("src and dst are required")
 
-// ScanItemLine extracts the endpoints of one NDJSON item line without
-// materializing the item. It accepts exactly the lines the NDJSON
-// batch decoder accepts (same JSON grammar, same required fields) and
-// returns the same src and dst values.
-func ScanItemLine(line []byte) (src, dst string, err error) {
-	if s, d, ok := scanItemFast(line); ok {
-		return s, d, nil
+// DecodeItemLine decodes one NDJSON item line: "src" and "dst" are
+// required, an omitted "weight" means one observation, "time" and
+// "label" default to 0. The line must hold exactly one JSON object
+// (surrounding whitespace aside).
+func DecodeItemLine(line []byte) (Item, error) {
+	if it, ok := scanItemFast(line); ok {
+		return it, nil
 	}
-	var wi wireItem
-	if err := json.Unmarshal(line, &wi); err != nil {
-		return "", "", err
+	it := Item{Weight: 1}
+	if err := json.Unmarshal(line, (*wireItem)(&it)); err != nil {
+		return Item{}, err
 	}
-	if wi.Src == "" || wi.Dst == "" {
-		return "", "", ErrMissingEndpoints
+	if it.Src == "" || it.Dst == "" {
+		return Item{}, ErrMissingEndpoints
 	}
-	return wi.Src, wi.Dst, nil
+	return it, nil
 }
 
-// scanItemFast is the no-allocation-but-the-answer pass. It reports
+// ScanItemLine returns the endpoints of one NDJSON item line; it is
+// DecodeItemLine with the rest of the item dropped.
+func ScanItemLine(line []byte) (src, dst string, err error) {
+	it, err := DecodeItemLine(line)
+	return it.Src, it.Dst, err
+}
+
+// scanItemFast is the no-allocation-but-the-strings pass. It reports
 // ok=false — punting to the reference decoder — on anything it cannot
 // prove: escape sequences or non-ASCII bytes in strings (encoding/json
 // unescapes and replaces invalid UTF-8), numbers that might overflow
-// or are not plain integers where the wire type demands one, duplicate
-// endpoint keys (last occurrence wins, so every occurrence must be
-// provable), deep nesting, or any structural irregularity.
-func scanItemFast(line []byte) (src, dst string, ok bool) {
+// or are not plain integers where the wire type demands one (null
+// included: it leaves the field as it was), keys that match a field
+// only case-insensitively, deep nesting, or any structural
+// irregularity. Duplicate keys are fine: every occurrence is proved
+// and the last one wins, as in the reference.
+func scanItemFast(line []byte) (it Item, ok bool) {
+	it.Weight = 1
 	i := skipWS(line, 0)
 	if i >= len(line) || line[i] != '{' {
-		return "", "", false
+		return Item{}, false
 	}
 	i++
 	first := true
 	for {
 		i = skipWS(line, i)
 		if i >= len(line) {
-			return "", "", false
+			return Item{}, false
 		}
 		if line[i] == '}' {
 			i++
@@ -67,18 +78,18 @@ func scanItemFast(line []byte) (src, dst string, ok bool) {
 		}
 		if !first {
 			if line[i] != ',' {
-				return "", "", false
+				return Item{}, false
 			}
 			i = skipWS(line, i+1)
 		}
 		first = false
 		key, j, kOK := scanPlainString(line, i)
 		if !kOK {
-			return "", "", false
+			return Item{}, false
 		}
 		i = skipWS(line, j)
 		if i >= len(line) || line[i] != ':' {
-			return "", "", false
+			return Item{}, false
 		}
 		i = skipWS(line, i+1)
 		var vOK bool
@@ -87,19 +98,23 @@ func scanItemFast(line []byte) (src, dst string, ok bool) {
 			var val []byte
 			val, j, vOK = scanPlainString(line, i)
 			if !vOK || len(val) == 0 {
-				return "", "", false
+				return Item{}, false
 			}
 			if bytes.Equal(key, srcKey) {
-				src = string(val)
+				it.Src = string(val)
 			} else {
-				dst = string(val)
+				it.Dst = string(val)
 			}
-		case bytes.Equal(key, weightKey), bytes.Equal(key, timeKey):
+		case bytes.Equal(key, weightKey):
 			// int64 wire fields: up to 18 digits cannot overflow.
-			j, vOK = scanPlainInt(line, i, 18, true)
+			it.Weight, j, vOK = scanPlainInt(line, i, 18, true)
+		case bytes.Equal(key, timeKey):
+			it.Time, j, vOK = scanPlainInt(line, i, 18, true)
 		case bytes.Equal(key, labelKey):
 			// uint32 wire field: up to 9 digits, no sign.
-			j, vOK = scanPlainInt(line, i, 9, false)
+			var label int64
+			label, j, vOK = scanPlainInt(line, i, 9, false)
+			it.Label = uint32(label)
 		default:
 			// encoding/json matches struct fields case-insensitively
 			// (last occurrence wins), so a key like "SRC" would bind to
@@ -107,23 +122,23 @@ func scanItemFast(line []byte) (src, dst string, ok bool) {
 			// spellings above are provable here.
 			for _, known := range [...][]byte{srcKey, dstKey, weightKey, timeKey, labelKey} {
 				if bytes.EqualFold(key, known) {
-					return "", "", false
+					return Item{}, false
 				}
 			}
 			j, vOK = scanAnyValue(line, i, 0)
 		}
 		if !vOK {
-			return "", "", false
+			return Item{}, false
 		}
 		i = j
 	}
 	if skipWS(line, i) != len(line) {
-		return "", "", false
+		return Item{}, false
 	}
-	if src == "" || dst == "" {
-		return "", "", false
+	if it.Src == "" || it.Dst == "" {
+		return Item{}, false
 	}
-	return src, dst, true
+	return it, true
 }
 
 var (
@@ -135,15 +150,14 @@ var (
 )
 
 func skipWS(b []byte, i int) int {
-	for i < len(b) {
-		switch b[i] {
-		case ' ', '\t', '\r', '\n':
-			i++
-		default:
-			return i
-		}
+	for i < len(b) && isJSONSpace(b[i]) {
+		i++
 	}
 	return i
+}
+
+func isJSONSpace(c byte) bool {
+	return c == ' ' || c == '\t' || c == '\r' || c == '\n'
 }
 
 // scanPlainString accepts a JSON string containing only printable
@@ -169,30 +183,36 @@ func scanPlainString(b []byte, i int) (val []byte, next int, ok bool) {
 
 // scanPlainInt accepts a plain JSON integer of at most maxDigits
 // digits (JSON forbids leading zeros and a leading '+'); neg allows a
-// minus sign. Fractions, exponents and longer tokens punt.
-func scanPlainInt(b []byte, i, maxDigits int, neg bool) (next int, ok bool) {
-	if i < len(b) && b[i] == '-' {
+// minus sign. Fractions, exponents and longer tokens punt. maxDigits
+// is at most 18, so the value always fits an int64.
+func scanPlainInt(b []byte, i, maxDigits int, neg bool) (v int64, next int, ok bool) {
+	minus := i < len(b) && b[i] == '-'
+	if minus {
 		if !neg {
-			return 0, false
+			return 0, 0, false
 		}
 		i++
 	}
 	start := i
 	for i < len(b) && b[i] >= '0' && b[i] <= '9' {
+		v = v*10 + int64(b[i]-'0')
 		i++
 	}
 	n := i - start
 	if n == 0 || n > maxDigits {
-		return 0, false
+		return 0, 0, false
 	}
 	if b[start] == '0' && n > 1 {
-		return 0, false
+		return 0, 0, false
 	}
 	// A following '.', 'e' or 'E' would make this a non-integer.
 	if i < len(b) && (b[i] == '.' || b[i] == 'e' || b[i] == 'E') {
-		return 0, false
+		return 0, 0, false
 	}
-	return i, true
+	if minus {
+		v = -v
+	}
+	return v, i, true
 }
 
 // maxScanDepth bounds nested unknown values; deeper punts.
@@ -273,7 +293,8 @@ func scanAnyValue(b []byte, i, depth int) (next int, ok bool) {
 	default:
 		// A number of any JSON shape; restrict to the integer form the
 		// scanner can prove (floats on unknown keys punt — rare).
-		return scanPlainInt(b, i, 18, true)
+		_, j, ok := scanPlainInt(b, i, 18, true)
+		return j, ok
 	}
 }
 
@@ -285,8 +306,8 @@ func scanLiteral(b []byte, i int, lit string) (int, bool) {
 }
 
 // NewLineScanner returns a bufio.Scanner over r configured with the
-// NDJSON line limits the batch decoder uses, for callers that route
-// raw lines instead of decoding items.
+// NDJSON line limits the batch decoder uses, for callers that walk
+// lines themselves (the cluster router re-framing NDJSON as GSB1).
 func NewLineScanner(r io.Reader) *bufio.Scanner {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), maxNDJSONLine)

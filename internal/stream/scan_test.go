@@ -7,18 +7,56 @@ import (
 	"testing"
 )
 
-// refScan is the reference the fast routing scan must agree with: the
-// same wire decode the NDJSON batch decoder performs, plus the
-// required-endpoints rule.
-func refScan(line []byte) (string, string, bool) {
-	var wi wireItem
-	if err := json.Unmarshal(line, &wi); err != nil {
-		return "", "", false
+// refDecode is the reference the line decoder must agree with: a
+// plain encoding/json decode under the wire defaults (omitted weight
+// means 1) plus the required-endpoints rule.
+func refDecode(line []byte) (Item, bool) {
+	it := Item{Weight: 1}
+	if err := json.Unmarshal(line, (*wireItem)(&it)); err != nil {
+		return Item{}, false
 	}
-	if wi.Src == "" || wi.Dst == "" {
-		return "", "", false
+	if it.Src == "" || it.Dst == "" {
+		return Item{}, false
 	}
-	return wi.Src, wi.Dst, true
+	return it, true
+}
+
+// checkAgainstReference fails unless DecodeItemLine and ScanItemLine
+// agree with the reference on acceptance and, when accepting, on the
+// whole item.
+func checkAgainstReference(t *testing.T, line []byte) {
+	t.Helper()
+	want, wantOK := refDecode(line)
+	got, err := DecodeItemLine(line)
+	if wantOK != (err == nil) {
+		t.Fatalf("decode err=%v, reference ok=%v for %q", err, wantOK, line)
+	}
+	if wantOK && got != want {
+		t.Fatalf("decode %+v, reference %+v for %q", got, want, line)
+	}
+	src, dst, err := ScanItemLine(line)
+	if wantOK != (err == nil) || src != want.Src || dst != want.Dst {
+		t.Fatalf("scan (%q,%q,%v), reference %+v ok=%v for %q", src, dst, err, want, wantOK, line)
+	}
+}
+
+// scanSeeds are the shapes that exercise the fast path's proof
+// obligations: duplicate and null numeric fields, integers at and past
+// the digit limits, and keys that bind only case-insensitively.
+var scanSeeds = [][]byte{
+	[]byte(`{"src":"a","dst":"b","SRC":"z"}`),
+	[]byte(`{"src":"a","dst":"b","weight":01}`),
+	[]byte(`{"src":"a","dst":"b","x":{"y":[true,null,1.5]}}`),
+	[]byte(`{"src":"a","dst":"b","weight":2,"weight":9}`),
+	[]byte(`{"src":"a","dst":"b","weight":null}`),
+	[]byte(`{"src":"a","dst":"b","weight":5,"weight":null}`),
+	[]byte(`{"src":"a","dst":"b","time":123456789012345678}`),
+	[]byte(`{"src":"a","dst":"b","time":-1234567890123456789}`),
+	[]byte(`{"src":"a","dst":"b","weight":9223372036854775807}`),
+	[]byte(`{"src":"a","dst":"b","weight":9223372036854775808}`),
+	[]byte(`{"src":"a","dst":"b","label":999999999}`),
+	[]byte(`{"src":"a","dst":"b","label":4294967295}`),
+	[]byte(`{"src":"a","dst":"b","label":4294967296}`),
 }
 
 func TestScanItemLineAgreesWithReference(t *testing.T) {
@@ -52,16 +90,10 @@ func TestScanItemLineAgreesWithReference(t *testing.T) {
 		`not json`,
 	}
 	for _, line := range lines {
-		b := []byte(line)
-		wantSrc, wantDst, wantOK := refScan(b)
-		gotSrc, gotDst, err := ScanItemLine(b)
-		if wantOK != (err == nil) {
-			t.Errorf("%s: scan err=%v, reference ok=%v", line, err, wantOK)
-			continue
-		}
-		if wantOK && (gotSrc != wantSrc || gotDst != wantDst) {
-			t.Errorf("%s: scan (%q,%q), reference (%q,%q)", line, gotSrc, gotDst, wantSrc, wantDst)
-		}
+		checkAgainstReference(t, []byte(line))
+	}
+	for _, line := range scanSeeds {
+		checkAgainstReference(t, line)
 	}
 }
 
@@ -70,34 +102,49 @@ func deepJSON(depth int) string {
 }
 
 // TestScanItemLineFastPathCoverage pins that the common wire shapes
-// actually take the fast path — the point of the scanner is that the
-// router does not pay a full decode per item.
+// actually take the fast path, with the right values — the point of
+// the scan is that no front door pays a full encoding/json decode per
+// item.
 func TestScanItemLineFastPathCoverage(t *testing.T) {
-	fast := [][]byte{
-		[]byte(`{"src":"n12","dst":"n9","weight":3,"time":17}`),
-		[]byte(`{"src":"a","dst":"b"}`),
-		[]byte(`{"src":"a","dst":"b","weight":-1,"label":7}`),
+	fast := map[string]Item{
+		`{"src":"n12","dst":"n9","weight":3,"time":17}`:   {Src: "n12", Dst: "n9", Weight: 3, Time: 17},
+		`{"src":"a","dst":"b"}`:                           {Src: "a", Dst: "b", Weight: 1},
+		`{"src":"a","dst":"b","weight":-1,"label":7}`:     {Src: "a", Dst: "b", Weight: -1, Label: 7},
+		`{"src":"a","dst":"b","weight":0,"time":-5}`:      {Src: "a", Dst: "b", Weight: 0, Time: -5},
+		`{"src":"a","dst":"b","weight":2,"weight":9}`:     {Src: "a", Dst: "b", Weight: 9},
+		`{"src":"a","dst":"b","label":999999999}`:         {Src: "a", Dst: "b", Weight: 1, Label: 999999999},
+		`{"src":"a","dst":"b","time":123456789012345678}`: {Src: "a", Dst: "b", Weight: 1, Time: 123456789012345678},
+		`{"time":1700000000,"label":2,"dst":"d","src":"s","weight":42}`: {
+			Src: "s", Dst: "d", Weight: 42, Time: 1700000000, Label: 2},
 	}
-	for _, line := range fast {
-		if _, _, ok := scanItemFast(line); !ok {
+	for line, want := range fast {
+		got, ok := scanItemFast([]byte(line))
+		if !ok {
 			t.Errorf("fast path punted on a canonical line: %s", line)
+			continue
+		}
+		if got != want {
+			t.Errorf("fast path decoded %s as %+v, want %+v", line, got, want)
 		}
 	}
 	slow := [][]byte{
 		[]byte(`{"src":"é","dst":"b"}`),
 		[]byte(`{"src":"a","dst":"b","SRC":"z"}`),
+		[]byte(`{"src":"a","dst":"b","weight":null}`),
+		[]byte(`{"src":"a","dst":"b","label":4294967295}`),
+		[]byte(`{"src":"a","dst":"b","time":1234567890123456789}`),
 	}
 	for _, line := range slow {
-		if _, _, ok := scanItemFast(line); ok {
+		if _, ok := scanItemFast(line); ok {
 			t.Errorf("fast path claimed a line it cannot prove: %s", line)
 		}
 	}
 }
 
 // FuzzScanItemLine is the differential target: on every input the
-// routing scan and the reference decode must agree on acceptance and,
-// when accepting, on the endpoints. This is what makes the fast path's
-// "sound by construction" claim checkable.
+// line decoder and the reference decode must agree on acceptance and,
+// when accepting, on the whole item. This is what makes the fast
+// path's "sound by construction" claim checkable.
 func FuzzScanItemLine(f *testing.F) {
 	for _, seed := range ndjsonSeeds {
 		for _, line := range bytes.Split(seed, []byte("\n")) {
@@ -106,18 +153,11 @@ func FuzzScanItemLine(f *testing.F) {
 			}
 		}
 	}
-	f.Add([]byte(`{"src":"a","dst":"b","SRC":"z"}`))
-	f.Add([]byte(`{"src":"a","dst":"b","weight":01}`))
-	f.Add([]byte(`{"src":"a","dst":"b","x":{"y":[true,null,1.5]}}`))
+	for _, line := range scanSeeds {
+		f.Add(line)
+	}
 	f.Fuzz(func(t *testing.T, line []byte) {
-		wantSrc, wantDst, wantOK := refScan(line)
-		gotSrc, gotDst, err := ScanItemLine(line)
-		if wantOK != (err == nil) {
-			t.Fatalf("scan err=%v, reference ok=%v for %q", err, wantOK, line)
-		}
-		if wantOK && (gotSrc != wantSrc || gotDst != wantDst) {
-			t.Fatalf("scan (%q,%q), reference (%q,%q) for %q", gotSrc, gotDst, wantSrc, wantDst, line)
-		}
+		checkAgainstReference(t, line)
 	})
 }
 
@@ -126,7 +166,7 @@ func BenchmarkScanItemLine(b *testing.B) {
 	b.Run("scan", func(b *testing.B) {
 		b.SetBytes(int64(len(line)))
 		for i := 0; i < b.N; i++ {
-			if _, _, err := ScanItemLine(line); err != nil {
+			if _, err := DecodeItemLine(line); err != nil {
 				b.Fatal(err)
 			}
 		}
